@@ -19,7 +19,7 @@ from .ballots import ParseError, format_vote, parse_election_file, parse_vote
 from .engine import path_strength_matrix, schulze_winners
 from .model import ManipulationInstance, Mode, WeightedProfile, build_majority_graph
 from .oracle import brute_force_wcm
-from .solver import BoundFunction, _Infinity, solve_wcm, verify_manipulation
+from .solver import INF, BoundFunction, solve_wcm, verify_manipulation
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -40,17 +40,13 @@ def _load_instance(path: str, mode: str) -> ManipulationInstance:
     return dataclasses.replace(parsed, mode=Mode(mode))
 
 
-def _bound_text(value: object) -> str:
-    return "inf" if isinstance(value, _Infinity) else str(value)
-
-
-def _bound_json(value: object) -> int | str:
-    return "inf" if isinstance(value, _Infinity) else int(value)  # type: ignore[arg-type]
+def _bound_json(value: int | float) -> int | str:
+    return "inf" if value == INF else int(value)
 
 
 def _bound_line(bounds: BoundFunction, labels: tuple[str, ...]) -> str:
     return "U: " + " ".join(
-        f"{label}={_bound_text(bounds.values[i])}" for i, label in enumerate(labels)
+        f"{label}={bounds.values[i]}" for i, label in enumerate(labels)
     )
 
 
@@ -78,7 +74,7 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
     labels = instance.profile.candidates.labels
     if args.json:
         payload = {
-            "mode": outcome.mode.value,
+            "mode": outcome.bounds.mode.value,
             "manipulable": outcome.decision,
             "vote": (
                 None

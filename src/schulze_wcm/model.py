@@ -194,6 +194,20 @@ class MajorityGraph:
                     raise CapacityError("pairwise weight exceeds the signed 64-bit cap")
 
 
+def _accumulate(rows: list[list[int]], ranks: Sequence[int], weight: int) -> None:
+    """Add one ballot of the given weight to a mutable pairwise matrix in place."""
+    m = len(ranks)
+    for x in range(m):
+        rank_x = ranks[x]
+        for y in range(x + 1, m):
+            if rank_x > ranks[y]:
+                rows[x][y] += weight
+                rows[y][x] -= weight
+            else:
+                rows[x][y] -= weight
+                rows[y][x] += weight
+
+
 def build_majority_graph(profile: WeightedProfile) -> MajorityGraph:
     """Accumulate the pairwise weight matrix of a profile.
 
@@ -203,22 +217,7 @@ def build_majority_graph(profile: WeightedProfile) -> MajorityGraph:
     m = len(profile.candidates)
     rows = [[0] * m for _ in range(m)]
     for ballot in profile.ballots:
-        ranks = ballot.ranking.ranks
-        weight = ballot.weight
-        for x in range(m):
-            rank_x = ranks[x]
-            for y in range(x + 1, m):
-                if rank_x > ranks[y]:
-                    rows[x][y] += weight
-                    rows[y][x] -= weight
-                else:
-                    rows[x][y] -= weight
-                    rows[y][x] += weight
-    # The profile cap makes 64-bit overflow impossible; keep the guard anyway.
-    for x in range(m):
-        for y in range(m):
-            if abs(rows[x][y]) > INT64_MAX:
-                raise CapacityError("pairwise accumulation left the 64-bit range")
+        _accumulate(rows, ballot.ranking.ranks, ballot.weight)
     return MajorityGraph(profile.candidates, tuple(tuple(row) for row in rows))
 
 
@@ -236,14 +235,5 @@ def overlay_identical_manipulators(
     if coalition_weight < 0:
         raise ValueError("coalition weight must be >= 0")
     rows = [list(row) for row in graph.weights]
-    ranks = vote.ranks
-    for x in range(m):
-        rank_x = ranks[x]
-        for y in range(x + 1, m):
-            if rank_x > ranks[y]:
-                rows[x][y] += coalition_weight
-                rows[y][x] -= coalition_weight
-            else:
-                rows[x][y] -= coalition_weight
-                rows[y][x] += coalition_weight
+    _accumulate(rows, vote.ranks, coalition_weight)
     return MajorityGraph(graph.candidates, tuple(tuple(row) for row in rows))

@@ -16,6 +16,7 @@ enter through exact integer comparisons.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -32,40 +33,9 @@ from .model import (
 )
 
 
-class _Infinity:
-    """Positive infinity for bound values.
-
-    A distinguished tagged value, never an integer sentinel: it compares
-    above every int and supports no arithmetic at all.
-    """
-
-    __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other: object) -> bool:
-        return not isinstance(other, _Infinity)
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Infinity)
-
-    def __hash__(self) -> int:
-        return hash("schulze_wcm.INF")
-
-    def __repr__(self) -> str:
-        return "inf"
-
-
-INF = _Infinity()
-
-BoundValue = int | _Infinity
+# Bound values are ints, except the target's, which is this float. CPython
+# compares int with float exactly, so every comparison stays exact.
+INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -76,7 +46,7 @@ class BoundFunction:
     carries a finite integer.
     """
 
-    values: tuple[BoundValue, ...]
+    values: tuple[int | float, ...]
     target: int
     mode: Mode
 
@@ -86,12 +56,12 @@ class BoundFunction:
             raise ValueError(f"target index {self.target} out of range")
         for x, value in enumerate(self.values):
             if x == self.target:
-                if not isinstance(value, _Infinity):
+                if value != INF:
                     raise ValueError("the target bound must be infinite")
             elif not isinstance(value, int):
                 raise ValueError("non-target bounds must be integers")
 
-    def __getitem__(self, x: int) -> BoundValue:
+    def __getitem__(self, x: int) -> int | float:
         return self.values[x]
 
     def __len__(self) -> int:
@@ -137,7 +107,6 @@ class ManipulationOutcome:
     vote: Ranking | None
     bounds: BoundFunction
     rule_applications: int
-    mode: Mode
 
 
 def _support_strengths(
@@ -385,21 +354,23 @@ def construct_manipulator_vote(tree: Arborescence, bounds: BoundFunction) -> Ran
     return Ranking.from_order(order)
 
 
+def _reaches_goal(graph: MajorityGraph, target: int, mode: Mode) -> bool:
+    """Test the target's winner status on a finished graph under the mode."""
+    if mode is Mode.UNIQUE:
+        return is_unique_winner(graph, target)
+    return target in schulze_winners(graph)
+
+
 def verify_manipulation(instance: ManipulationInstance, vote: Ranking) -> bool:
     """Check whether the whole coalition casting this ballot reaches the goal.
 
     Appends one ballot carrying the entire coalition weight and tests the
     target's winner status under the instance's mode.
     """
-    profile = instance.profile
-    if len(vote) != len(profile.candidates):
-        raise ValueError("vote does not cover the candidate set")
     graph = overlay_identical_manipulators(
-        build_majority_graph(profile), vote, instance.coalition_weight
+        build_majority_graph(instance.profile), vote, instance.coalition_weight
     )
-    if instance.mode is Mode.UNIQUE:
-        return is_unique_winner(graph, instance.target)
-    return instance.target in schulze_winners(graph)
+    return _reaches_goal(graph, instance.target, instance.mode)
 
 
 def solve_wcm(instance: ManipulationInstance) -> ManipulationOutcome:
@@ -424,7 +395,6 @@ def solve_wcm(instance: ManipulationInstance) -> ManipulationOutcome:
             vote=Ranking((1,)),
             bounds=BoundFunction((INF,), target, mode),
             rule_applications=0,
-            mode=mode,
         )
 
     bounds, applications = compute_bound_function(
@@ -432,11 +402,8 @@ def solve_wcm(instance: ManipulationInstance) -> ManipulationOutcome:
     )
 
     if coalition_weight == 0:
-        if mode is Mode.UNIQUE:
-            decision = is_unique_winner(graph, target)
-        else:
-            decision = target in schulze_winners(graph)
-        return ManipulationOutcome(decision, None, bounds, applications, mode)
+        decision = _reaches_goal(graph, target, mode)
+        return ManipulationOutcome(decision, None, bounds, applications)
 
     decision = decide_manipulable(graph, bounds, coalition_weight)
     vote: Ranking | None = None
@@ -444,8 +411,9 @@ def solve_wcm(instance: ManipulationInstance) -> ManipulationOutcome:
         admissible = build_admissible_graph(graph, bounds, coalition_weight)
         tree = spanning_arborescence(admissible, target)
         vote = construct_manipulator_vote(tree, bounds)
-        if not verify_manipulation(instance, vote):
+        final = overlay_identical_manipulators(graph, vote, coalition_weight)
+        if not _reaches_goal(final, target, mode):
             raise InternalInvariantError(
                 "constructed ballot failed the final winner check"
             )
-    return ManipulationOutcome(decision, vote, bounds, applications, mode)
+    return ManipulationOutcome(decision, vote, bounds, applications)

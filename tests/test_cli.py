@@ -96,6 +96,10 @@ def test_manipulate_cowinner_mode(capsys):
         capsys, "manipulate", str(DATA / "tied.elect"), "--mode", "unique"
     )
     assert code == 3 and out.startswith("NOT MANIPULABLE")
+    code, out, _ = run(
+        capsys, "manipulate", str(DATA / "tied.elect"), "--mode", "cowinner", "--json"
+    )
+    assert code == 0 and json.loads(out)["mode"] == "cowinner"
 
 
 def test_verify_paths(capsys):

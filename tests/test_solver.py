@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import applicable_rule, bound_value_set, finite_bounds, reachable
+from schulze_wcm import solver
 from schulze_wcm import (
     INF,
     AdmissibleGraph,
@@ -305,6 +306,41 @@ def test_solve_without_manipulators_reports_current_status():
     co = solve_wcm(ManipulationInstance(tied, (), 1, Mode.COWINNER))
     un = solve_wcm(ManipulationInstance(tied, (), 1, Mode.UNIQUE))
     assert co.decision and not un.decision
+
+
+def test_solve_builds_the_majority_graph_once(monkeypatch):
+    calls = []
+
+    def counting_build(profile):
+        calls.append(profile)
+        return build_majority_graph(profile)
+
+    monkeypatch.setattr(solver, "build_majority_graph", counting_build)
+    profile = WeightedProfile(CXY, (ballot([0, 1, 2], 1),))
+    outcome = solve_wcm(ManipulationInstance(profile, (2,), 0))
+    assert outcome.decision and outcome.vote is not None
+    assert len(calls) == 1
+    calls.clear()
+    outcome = solve_wcm(ManipulationInstance(profile, (), 0))
+    assert outcome.decision and outcome.vote is None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "mode, attr, failing",
+    [
+        (Mode.UNIQUE, "is_unique_winner", lambda graph, target: False),
+        (Mode.COWINNER, "schulze_winners", lambda graph: ()),
+    ],
+    ids=["unique", "cowinner"],
+)
+def test_self_check_guards_every_yes_answer(monkeypatch, mode, attr, failing):
+    profile = WeightedProfile(CXY, (ballot([0, 1, 2], 1),))
+    instance = ManipulationInstance(profile, (2,), 0, mode)
+    assert solve_wcm(instance).decision
+    monkeypatch.setattr(solver, attr, failing)
+    with pytest.raises(InternalInvariantError):
+        solve_wcm(instance)
 
 
 def test_verify_manipulation_examples():
