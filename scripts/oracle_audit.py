@@ -15,11 +15,15 @@ import dataclasses
 import random
 import sys
 import time
+from pathlib import Path
 
-from schulze_wcm.model import Mode
-from schulze_wcm.oracle import brute_force_wcm
-from schulze_wcm.sampling import random_instance
-from schulze_wcm.solver import solve_wcm
+# Run against this checkout's sources, installed or not.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from schulze_wcm.model import Mode  # noqa: E402
+from schulze_wcm.oracle import brute_force_wcm  # noqa: E402
+from schulze_wcm.sampling import random_instance  # noqa: E402
+from schulze_wcm.solver import solve_wcm  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:

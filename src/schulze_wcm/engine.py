@@ -4,10 +4,18 @@ The strength of a path is the smallest edge weight along it. The strength
 between two candidates is the best bottleneck over all directed paths from
 one to the other in the complete pairwise graph. A candidate wins when no
 rival reaches it with strictly more strength than it reaches the rival.
+
+Two kernels compute strengths: `widest_path_strengths` gives all pairs in
+O(m^3) and backs the full winner set; `widest_from` is the single-source
+kernel, O(m^2), behind the solver's path rule. One candidate's status needs
+only its own row and column, so `is_unique_winner` and `is_schulze_winner`
+settle it with two single-source runs, forward and on the transpose, in
+O(m^2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,6 +51,49 @@ def widest_path_strengths(weights: Sequence[Sequence[int]]) -> list[list[int]]:
     return strengths
 
 
+def widest_from(
+    weights: Sequence[Sequence[int]],
+    source: int,
+    offset: int = 0,
+    caps: Sequence[int | float] | None = None,
+) -> list:
+    """Single-source max-min path strengths over a complete digraph.
+
+    Edge (y, z) is worth weights[y][z] + offset, capped at caps[z] when caps
+    are given. Entry z of the result is the best bottleneck over all
+    (source, z) paths; the entry for the source is None. Accepts any square
+    matrix, no symmetry assumed. A greedy max-first scan (the bottleneck
+    analogue of Dijkstra) is exact for arbitrary integer weights and runs in
+    O(m^2).
+    """
+    m = len(weights)
+    if not 0 <= source < m:
+        raise ValueError(f"source index {source} out of range")
+    if caps is None:
+        caps = [math.inf] * m
+    best: list = [None] * m
+    todo = [z for z in range(m) if z != source]
+    row = weights[source]
+    for z in todo:
+        value = row[z] + offset
+        best[z] = caps[z] if caps[z] < value else value
+    while todo:
+        pick = max(todo, key=best.__getitem__)
+        todo.remove(pick)
+        limit = best[pick]
+        row = weights[pick]
+        for z in todo:
+            value = row[z] + offset
+            if value > limit:
+                value = limit
+            cap = caps[z]
+            if value > cap:
+                value = cap
+            if value > best[z]:
+                best[z] = value
+    return best
+
+
 @dataclass(frozen=True)
 class StrengthMatrix:
     """Pairwise path strengths for a candidate set (diagonal unused)."""
@@ -75,12 +126,19 @@ def schulze_winners(graph: MajorityGraph) -> tuple[int, ...]:
     return winners
 
 
+def _rival_strengths(graph: MajorityGraph, target: int) -> list[tuple[int, int]]:
+    """(strength(target, y), strength(y, target)) for every rival y."""
+    weights = graph.weights
+    out = widest_from(weights, target)
+    into = widest_from(tuple(zip(*weights)), target)
+    return [(out[y], into[y]) for y in range(len(weights)) if y != target]
+
+
 def is_unique_winner(graph: MajorityGraph, target: int) -> bool:
     """True when the target beats every rival strictly in path strength."""
-    m = len(graph.candidates)
-    if not 0 <= target < m:
-        raise ValueError(f"target index {target} out of range")
-    strengths = widest_path_strengths(graph.weights)
-    return all(
-        strengths[target][y] > strengths[y][target] for y in range(m) if y != target
-    )
+    return all(out > into for out, into in _rival_strengths(graph, target))
+
+
+def is_schulze_winner(graph: MajorityGraph, target: int) -> bool:
+    """True when no rival beats the target in path strength (ties allowed)."""
+    return all(out >= into for out, into in _rival_strengths(graph, target))

@@ -20,7 +20,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .engine import is_unique_winner, schulze_winners
+from .engine import is_schulze_winner, is_unique_winner, widest_from
+from .engine import schulze_winners  # noqa: F401 - the benchmark tracer wraps it
 from .model import (
     CandidateSet,
     InternalInvariantError,
@@ -109,54 +110,6 @@ class ManipulationOutcome:
     rule_applications: int
 
 
-def _support_strengths(
-    weights: tuple[tuple[int, ...], ...],
-    bounds: list,
-    target: int,
-    coalition_weight: int,
-) -> list:
-    """Single-source max-min strengths from the target under capped edges.
-
-    Every edge (y, z) is worth min(weight(y, z) + coalition, bound(z)): the
-    best the coalition can deliver into z without exceeding z's ceiling. A
-    greedy max-first scan (the bottleneck analogue of Dijkstra) is exact for
-    arbitrary integer weights. Runs in O(m^2). The entry for the target is
-    meaningless and returned as None.
-    """
-    m = len(weights)
-    best: list = [None] * m
-    row_t = weights[target]
-    for z in range(m):
-        if z == target:
-            continue
-        value = row_t[z] + coalition_weight
-        cap = bounds[z]
-        best[z] = cap if cap < value else value
-    done = [False] * m
-    done[target] = True
-    for _ in range(m - 1):
-        pick = -1
-        pick_value = None
-        for z in range(m):
-            if not done[z] and (pick_value is None or best[z] > pick_value):
-                pick = z
-                pick_value = best[z]
-        done[pick] = True
-        row = weights[pick]
-        for z in range(m):
-            if done[z]:
-                continue
-            value = row[z] + coalition_weight
-            cap = bounds[z]
-            if cap < value:
-                value = cap
-            if pick_value < value:
-                value = pick_value
-            if value > best[z]:
-                best[z] = value
-    return best
-
-
 def compute_bound_function(
     graph: MajorityGraph, target: int, coalition_weight: int, mode: Mode
 ) -> tuple[BoundFunction, int]:
@@ -204,7 +157,7 @@ def compute_bound_function(
     while True:
         swept_clean = True
         while True:
-            support = _support_strengths(weights, bounds, target, coalition_weight)
+            support = widest_from(weights, target, coalition_weight, bounds)
             lowered = [
                 x for x in range(m) if x != target and support[x] < bounds[x]
             ]
@@ -358,7 +311,7 @@ def _reaches_goal(graph: MajorityGraph, target: int, mode: Mode) -> bool:
     """Test the target's winner status on a finished graph under the mode."""
     if mode is Mode.UNIQUE:
         return is_unique_winner(graph, target)
-    return target in schulze_winners(graph)
+    return is_schulze_winner(graph, target)
 
 
 def verify_manipulation(instance: ManipulationInstance, vote: Ranking) -> bool:

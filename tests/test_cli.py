@@ -111,6 +111,15 @@ def test_verify_paths(capsys):
     assert code == 3
 
 
+def test_verify_cowinner_mode(capsys):
+    # The coalition's c > a only ties a's margin: enough for co-winner only.
+    tied = str(DATA / "tied.elect")
+    code, out, _ = run(capsys, "verify", tied, "--vote", "c > a", "--mode", "cowinner")
+    assert code == 0 and out == "VOTE SUCCEEDS\n"
+    code, out, _ = run(capsys, "verify", tied, "--vote", "c > a", "--mode", "unique")
+    assert code == 3 and out == "VOTE FAILS\n"
+
+
 def test_oracle_check_agreement(capsys):
     code, out, _ = run(capsys, "oracle-check", TWO, "--mode", "unique")
     assert code == 0

@@ -1,5 +1,7 @@
 """Strength computation and winner determination against brute enumeration."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,8 @@ from schulze_wcm import (
     schulze_winners,
     widest_path_strengths,
 )
+from schulze_wcm.engine import is_schulze_winner, widest_from
+from schulze_wcm.sampling import random_skew_graph
 
 ABC = CandidateSet(("a", "b", "c"))
 
@@ -97,6 +101,46 @@ def test_widest_path_matches_enumeration(weights):
                 assert got[x][y] == want[x][y]
 
 
+@given(arbitrary_matrices())
+def test_widest_from_matches_all_pairs_row_and_column(weights):
+    m = len(weights)
+    strengths = widest_path_strengths(weights)
+    transposed = [list(column) for column in zip(*weights)]
+    for s in range(m):
+        row = widest_from(weights, s)
+        column = widest_from(transposed, s)
+        assert row[s] is None and column[s] is None
+        for y in range(m):
+            if y != s:
+                assert row[y] == strengths[s][y]
+                assert column[y] == strengths[y][s]
+
+
+@given(
+    arbitrary_matrices(),
+    st.integers(-3, 6),
+    st.lists(st.integers(-8, 8), min_size=5, max_size=5),
+)
+def test_widest_from_with_offset_and_caps_matches_enumeration(weights, offset, caps):
+    m = len(weights)
+    capped = [
+        [min(weights[y][z] + offset, caps[z]) for z in range(m)] for y in range(m)
+    ]
+    want = enumerated_strengths(capped)
+    for s in range(m):
+        got = widest_from(weights, s, offset, caps[:m])
+        for y in range(m):
+            if y != s:
+                assert got[y] == want[s][y]
+
+
+def test_widest_from_checks_range():
+    with pytest.raises(ValueError):
+        widest_from([[0, 1], [-1, 0]], 2)
+    with pytest.raises(ValueError):
+        widest_from([[0, 1], [-1, 0]], -1)
+
+
 @given(skew_graphs())
 def test_strength_dominates_direct_edge_and_is_stable(graph):
     m = len(graph.candidates)
@@ -148,6 +192,12 @@ def test_is_unique_winner_checks_range():
         is_unique_winner(graph, 2)
 
 
+def test_is_schulze_winner_checks_range():
+    graph = skew(("a", "b"), [1])
+    with pytest.raises(ValueError):
+        is_schulze_winner(graph, -1)
+
+
 @given(skew_graphs())
 def test_winner_set_never_empty(graph):
     assert schulze_winners(graph)
@@ -158,6 +208,26 @@ def test_unique_winner_agrees_with_singleton_winner_set(graph):
     winners = schulze_winners(graph)
     for target in range(len(graph.candidates)):
         assert is_unique_winner(graph, target) == (winners == (target,))
+
+
+def assert_status_matches_winner_set(graph):
+    winners = schulze_winners(graph)
+    for target in range(len(graph.candidates)):
+        assert is_schulze_winner(graph, target) == (target in winners)
+        assert is_unique_winner(graph, target) == (winners == (target,))
+
+
+@given(skew_graphs())
+def test_target_status_agrees_with_winner_set(graph):
+    assert_status_matches_winner_set(graph)
+
+
+def test_target_status_agrees_with_winner_set_on_tie_heavy_graphs():
+    # Magnitude 1 leaves every edge at -1, 0 or 1, so ties are everywhere.
+    rng = random.Random(3)
+    for _ in range(300):
+        graph = random_skew_graph(rng, rng.randint(1, 9), magnitude=1)
+        assert_status_matches_winner_set(graph)
 
 
 @given(skew_graphs(min_m=2, max_m=5), st.randoms(use_true_random=False))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import applicable_rule, bound_value_set, finite_bounds, reachable
-from schulze_wcm import solver
+from schulze_wcm import engine, solver
 from schulze_wcm import (
     INF,
     AdmissibleGraph,
@@ -330,7 +330,7 @@ def test_solve_builds_the_majority_graph_once(monkeypatch):
     "mode, attr, failing",
     [
         (Mode.UNIQUE, "is_unique_winner", lambda graph, target: False),
-        (Mode.COWINNER, "schulze_winners", lambda graph: ()),
+        (Mode.COWINNER, "is_schulze_winner", lambda graph, target: False),
     ],
     ids=["unique", "cowinner"],
 )
@@ -341,6 +341,22 @@ def test_self_check_guards_every_yes_answer(monkeypatch, mode, attr, failing):
     monkeypatch.setattr(solver, attr, failing)
     with pytest.raises(InternalInvariantError):
         solve_wcm(instance)
+
+
+def test_status_checks_never_compute_all_pairs(monkeypatch):
+    def all_pairs(weights):
+        raise AssertionError("all-pairs strengths computed")
+
+    monkeypatch.setattr(engine, "widest_path_strengths", all_pairs)
+    profile = WeightedProfile(CXY, (ballot([1, 2, 0], 2),))
+    for mode in Mode:
+        outcome = solve_wcm(ManipulationInstance(profile, (3,), 0, mode))
+        assert outcome.decision and outcome.vote is not None
+        current = solve_wcm(ManipulationInstance(profile, (), 1, mode))
+        assert current.decision and current.vote is None
+    instance = ManipulationInstance(profile, (3,), 0)
+    assert verify_manipulation(instance, Ranking.from_order([0, 2, 1]))
+    assert not verify_manipulation(instance, Ranking.from_order([1, 2, 0]))
 
 
 def test_verify_manipulation_examples():
