@@ -41,7 +41,7 @@ class ParseError(ValueError):
 
 
 def _parse_weight(token: str, what: str, line: int) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise ParseError(f"{what} weight {token!r} is not a decimal integer", line)
     weight = int(token)
     if weight < 1:

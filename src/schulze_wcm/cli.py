@@ -183,3 +183,7 @@ def run_cli(argv: Sequence[str]) -> int:
 
 def main() -> None:
     raise SystemExit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -218,7 +218,7 @@ def build_majority_graph(profile: WeightedProfile) -> MajorityGraph:
     rows = [[0] * m for _ in range(m)]
     for ballot in profile.ballots:
         _accumulate(rows, ballot.ranking.ranks, ballot.weight)
-    return MajorityGraph(profile.candidates, tuple(tuple(row) for row in rows))
+    return MajorityGraph(profile.candidates, rows)
 
 
 def overlay_identical_manipulators(
@@ -236,4 +236,4 @@ def overlay_identical_manipulators(
         raise ValueError("coalition weight must be >= 0")
     rows = [list(row) for row in graph.weights]
     _accumulate(rows, vote.ranks, coalition_weight)
-    return MajorityGraph(graph.candidates, tuple(tuple(row) for row in rows))
+    return MajorityGraph(graph.candidates, rows)

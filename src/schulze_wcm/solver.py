@@ -93,11 +93,17 @@ class Arborescence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parents", tuple(self.parents))
+        m = len(self.parents)
+        if not 0 <= self.root < m:
+            raise ValueError(f"root index {self.root} out of range")
         if self.parents[self.root] is not None:
             raise ValueError("the root must have no parent")
         for child, parent in enumerate(self.parents):
-            if child != self.root and parent is None:
-                raise ValueError(f"candidate {child} has no parent")
+            if parent is None:
+                if child != self.root:
+                    raise ValueError(f"candidate {child} has no parent")
+            elif not 0 <= parent < m:
+                raise ValueError(f"parent index {parent} out of range")
 
 
 @dataclass(frozen=True)
@@ -126,11 +132,11 @@ def compute_bound_function(
       stays at least as strong as y's bound even against the full coalition,
       x falls to y's bound. In COWINNER mode the edge test is strict.
 
-    A sweep saturates the path rule (one single-source computation lowers
-    every improvable candidate; the batch assigns exactly the values the
-    rule would assign one at a time in decreasing order), then scans rival
-    pairs in lexicographic order for the transfer rule, and repeats until a
-    full sweep changes nothing. Returns the fixed point and the number of
+    A sweep is one kernel run plus one transfer scan. The single-source run
+    saturates the path rule (the batch assigns exactly the values the rule
+    would assign one at a time in decreasing order); the scan then visits
+    rival pairs in lexicographic order for the transfer rule. Sweeps repeat
+    until one changes nothing. Returns the fixed point and the number of
     individual rule applications.
     """
     m = len(graph.candidates)
@@ -155,20 +161,13 @@ def compute_bound_function(
     strict_transfer = mode is not Mode.UNIQUE
 
     while True:
-        swept_clean = True
-        while True:
-            support = widest_from(weights, target, coalition_weight, bounds)
-            lowered = [
-                x for x in range(m) if x != target and support[x] < bounds[x]
-            ]
-            if not lowered:
-                break
-            for x in lowered:
+        before = applications
+        support = widest_from(weights, target, coalition_weight, bounds)
+        # One run saturates: a path through head h has bottleneck <= support[h].
+        for x in range(m):
+            if x != target and support[x] < bounds[x]:
                 bounds[x] = support[x]
-            applications += len(lowered)
-            if applications > budget:
-                raise InternalInvariantError("rule application budget exceeded")
-            swept_clean = False
+                applications += 1
         for x in range(m):
             if x == target:
                 continue
@@ -182,12 +181,9 @@ def compute_bound_function(
                 if edge > bound_y or (edge == bound_y and not strict_transfer):
                     bounds[x] = bound_y
                     applications += 1
-                    if applications > budget:
-                        raise InternalInvariantError(
-                            "rule application budget exceeded"
-                        )
-                    swept_clean = False
-        if swept_clean:
+        if applications > budget:
+            raise InternalInvariantError("rule application budget exceeded")
+        if applications == before:
             return BoundFunction(tuple(bounds), target, mode), applications
 
 
@@ -201,8 +197,6 @@ def decide_manipulable(
     enough. A single candidate is always manipulable.
     """
     m = len(bounds)
-    if m == 1:
-        return True
     target = bounds.target
     strict = bounds.mode is Mode.UNIQUE
     for x in range(m):
@@ -270,40 +264,32 @@ def construct_manipulator_vote(tree: Arborescence, bounds: BoundFunction) -> Ran
     """Fold the arborescence and the bound order into one coalition ballot.
 
     The ballot must rank x above y whenever (x, y) is a tree edge or x has
-    the strictly larger bound. Candidates are emitted in descending bound
-    order, which puts the target first; inside a group of equal bounds the
-    tree edges are obeyed and remaining ties break by candidate index.
+    the strictly larger bound. It is built in one heap pass from the root:
+    pop the ready candidate with the largest bound, smallest index first,
+    and make its tree children ready. A parent's bound is never below its
+    child's, so candidates come out in descending bound order, the target
+    first, with tree edges obeyed and remaining ties broken by index.
     """
     m = len(bounds)
+    if len(tree.parents) != m:
+        raise ValueError(f"tree spans {len(tree.parents)} candidates, bounds {m}")
     values = bounds.values
-    for child, parent in enumerate(tree.parents):
-        if parent is not None and values[parent] < values[child]:
-            raise InternalInvariantError("tree edge ascends the bound function")
-
     children: list[list[int]] = [[] for _ in range(m)]
     for child, parent in enumerate(tree.parents):
         if parent is not None:
+            if values[parent] < values[child]:
+                raise InternalInvariantError("tree edge ascends the bound function")
             children[parent].append(child)
 
-    order = [tree.root]
-    finite_values = sorted(
-        {values[x] for x in range(m) if x != tree.root}, reverse=True
-    )
-    for value in finite_values:
-        members = [x for x in range(m) if x != tree.root and values[x] == value]
-        member_set = set(members)
-        ready = [x for x in members if tree.parents[x] not in member_set]
-        heapq.heapify(ready)
-        emitted = 0
-        while ready:
-            x = heapq.heappop(ready)
-            order.append(x)
-            emitted += 1
-            for child in children[x]:
-                if child in member_set:
-                    heapq.heappush(ready, child)
-        if emitted != len(members):
-            raise InternalInvariantError("cyclic ranking constraints")
+    order = []
+    ready = [(-values[tree.root], tree.root)]
+    while ready:
+        _, x = heapq.heappop(ready)
+        order.append(x)
+        for child in children[x]:
+            heapq.heappush(ready, (-values[child], child))
+    if len(order) != m:
+        raise InternalInvariantError("cyclic ranking constraints")
     return Ranking.from_order(order)
 
 

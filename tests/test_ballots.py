@@ -76,6 +76,8 @@ def test_parse_comments_and_blank_lines():
         ("candidates: a*b c\n", 1, "malformed label"),
         ("ballot 1: a > b\n", 1, "must precede"),
         ("candidates: a b\nballot 1: a >  > b\n", 2, "empty entry"),
+        ("candidates: a b\nballot \u00b2: a > b\n", 2, "not a decimal integer"),
+        ("candidates: a b\nmanipulators: \u00b9\ntarget: a\n", 2, "not a decimal integer"),
     ],
 )
 def test_parse_diagnostics_carry_line_numbers(text, line, fragment):

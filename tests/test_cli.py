@@ -1,6 +1,9 @@
 """Command-line surface: golden outputs, exit codes, JSON schema."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,6 +165,25 @@ def test_usage_error_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name, code, stdout",
+    [
+        ("two.elect", 0, "MANIPULABLE\nvote: c > a\nU: a=1 c=inf\n"),
+        ("blocked.elect", 3, "NOT MANIPULABLE\nU: a=-2 c=inf\n"),
+    ],
+)
+def test_module_entry_point(name, code, stdout):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "schulze_wcm.cli", "manipulate", str(DATA / name)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (code, stdout)
 
 
 def test_output_is_deterministic(capsys):

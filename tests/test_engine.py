@@ -134,6 +134,21 @@ def test_widest_from_with_offset_and_caps_matches_enumeration(weights, offset, c
                 assert got[y] == want[s][y]
 
 
+@given(
+    arbitrary_matrices(),
+    st.integers(-3, 6),
+    st.lists(st.integers(-8, 8), min_size=5, max_size=5),
+)
+def test_widest_from_is_stable_under_its_own_caps(weights, offset, caps):
+    # Lowering each cap to the kernel's own output changes nothing, which is
+    # why one run per sweep saturates the solver's path rule.
+    m = len(weights)
+    for s in range(m):
+        got = widest_from(weights, s, offset, caps[:m])
+        lowered = [caps[z] if z == s else got[z] for z in range(m)]
+        assert widest_from(weights, s, offset, lowered) == got
+
+
 def test_widest_from_checks_range():
     with pytest.raises(ValueError):
         widest_from([[0, 1], [-1, 0]], 2)

@@ -85,6 +85,21 @@ def test_bound_two_candidates_lowered_once():
     assert applications == 1
 
 
+def test_bound_sweep_runs_the_kernel_once(monkeypatch):
+    # One sweep lowers a, a second changes nothing: two kernel runs in all.
+    calls = []
+
+    def counting_widest_from(*args):
+        calls.append(args)
+        return engine.widest_from(*args)
+
+    monkeypatch.setattr(solver, "widest_from", counting_widest_from)
+    graph = build_majority_graph(WeightedProfile(AC, (ballot([0, 1], 1),)))
+    bounds, applications = compute_bound_function(graph, 1, 2, Mode.UNIQUE)
+    assert (bounds.values, applications) == ((1, INF), 1)
+    assert len(calls) == 2
+
+
 def test_bound_two_candidates_negative_value():
     graph = build_majority_graph(WeightedProfile(AC, (ballot([0, 1], 3),)))
     bounds, applications = compute_bound_function(graph, 1, 1, Mode.UNIQUE)
@@ -137,6 +152,12 @@ def test_decide_two_candidate_no():
     graph = build_majority_graph(WeightedProfile(AC, (ballot([0, 1], 3),)))
     bounds, _ = compute_bound_function(graph, 1, 1, Mode.UNIQUE)
     assert not decide_manipulable(graph, bounds, 1)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_decide_single_candidate(mode):
+    graph = MajorityGraph(CandidateSet(("c",)), ((0,),))
+    assert decide_manipulable(graph, BoundFunction((INF,), 0, mode), 1)
 
 
 def test_decide_mode_split_on_exact_tie():
@@ -228,6 +249,12 @@ def test_arborescence_validation():
         Arborescence(0, (1, None))  # root must have no parent
     with pytest.raises(ValueError):
         Arborescence(0, (None, None))  # non-root must have one
+    with pytest.raises(ValueError):
+        Arborescence(3, (None, 0))  # root out of range
+    with pytest.raises(ValueError):
+        Arborescence(0, (None, 5))  # parent out of range
+    with pytest.raises(ValueError):
+        Arborescence(0, (None, -1))  # negative parent
 
 
 # ---------------------------------------------------------- vote construction
@@ -259,6 +286,20 @@ def test_vote_rejects_ascending_tree_edge():
     tree = Arborescence(0, (None, 2, 0))
     bounds = BoundFunction((INF, 9, 4), 0, Mode.UNIQUE)  # parent below child
     with pytest.raises(InternalInvariantError):
+        construct_manipulator_vote(tree, bounds)
+
+
+@pytest.mark.parametrize("parents", [(None, 0), (None, 0, 0, 0)])
+def test_vote_rejects_tree_of_another_size(parents):
+    bounds = BoundFunction((INF, 1, 1), 0, Mode.UNIQUE)
+    with pytest.raises(ValueError):
+        construct_manipulator_vote(Arborescence(0, parents), bounds)
+
+
+def test_vote_rejects_cycle_detached_from_root():
+    tree = Arborescence(0, (None, 2, 1))  # x and y parent each other
+    bounds = BoundFunction((INF, 5, 5), 0, Mode.UNIQUE)
+    with pytest.raises(InternalInvariantError, match="cyclic"):
         construct_manipulator_vote(tree, bounds)
 
 
