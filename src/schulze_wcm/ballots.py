@@ -8,19 +8,22 @@ skipped):
     manipulators: <weight> <weight> ...
     target: <label>
 
-Labels match [A-Za-z0-9_-]+ and weights are decimal integers >= 1. A ballot
-line ranks every candidate exactly once, most preferred first. The
-candidates line is mandatory and must precede ballot and target lines. A
-file carrying both a manipulators and a target line parses to a
-ManipulationInstance (in UNIQUE mode by default), a file carrying neither
-parses to a WeightedProfile, and anything in between is rejected.
+Labels match [A-Za-z0-9_-]+ and weights are decimal integers from 1 to
+2**63 - 1 (the signed 64-bit cap). A ballot line ranks every candidate
+exactly once, most preferred first. The candidates line is mandatory and
+must precede ballot and target lines. A file carrying both a manipulators
+and a target line parses to a ManipulationInstance (in UNIQUE mode by
+default), a file carrying neither parses to a WeightedProfile, and anything
+in between is rejected.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from .model import (
+    INT64_MAX,
     CandidateSet,
     ManipulationInstance,
     Ranking,
@@ -43,14 +46,23 @@ class ParseError(ValueError):
 def _parse_weight(token: str, what: str, line: int) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ParseError(f"{what} weight {token!r} is not a decimal integer", line)
-    weight = int(token)
+    digits = token.lstrip("0") or "0"
+    # Test the length first: int() refuses strings past 4300 digits.
+    weight = int(digits) if len(digits) <= 19 else INT64_MAX + 1
+    if weight > INT64_MAX:
+        raise ParseError(f"{what} weight exceeds the signed 64-bit cap", line)
     if weight < 1:
         raise ParseError(f"{what} weight must be >= 1, got {weight}", line)
     return weight
 
 
+def _label_index(labels: Iterable[str]) -> dict[str, int]:
+    """Map each well-formed label to its candidate index."""
+    return {label: i for i, label in enumerate(labels) if _LABEL.match(label)}
+
+
 def _parse_ranking(
-    text: str, candidates: CandidateSet, line: int | None = None
+    text: str, index: dict[str, int], m: int, line: int | None = None
 ) -> Ranking:
     parts = [part.strip() for part in text.split(">")]
     if any(not part for part in parts):
@@ -58,30 +70,30 @@ def _parse_ranking(
     order = []
     seen = set()
     for label in parts:
-        index = _lookup(label, candidates, line)
-        if index in seen:
+        position = _lookup(label, index, line)
+        if position in seen:
             raise ParseError(f"candidate {label!r} ranked twice", line)
-        seen.add(index)
-        order.append(index)
-    if len(order) != len(candidates):
-        raise ParseError(
-            f"ranking covers {len(order)} of {len(candidates)} candidates", line
-        )
+        seen.add(position)
+        order.append(position)
+    if len(order) != m:
+        raise ParseError(f"ranking covers {len(order)} of {m} candidates", line)
     return Ranking.from_order(order)
 
 
-def _lookup(label: str, candidates: CandidateSet, line: int | None) -> int:
-    if not _LABEL.match(label):
-        raise ParseError(f"malformed label {label!r}", line)
-    try:
-        return candidates.index(label)
-    except ValueError:
-        raise ParseError(f"unknown candidate label {label!r}", line) from None
+def _lookup(label: str, index: dict[str, int], line: int | None) -> int:
+    position = index.get(label)
+    if position is None:
+        # The map holds only well-formed labels, so a hit needs no regex.
+        if not _LABEL.match(label):
+            raise ParseError(f"malformed label {label!r}", line)
+        raise ParseError(f"unknown candidate label {label!r}", line)
+    return position
 
 
 def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
     """Parse election text; all diagnostics carry 1-based line numbers."""
     candidates: CandidateSet | None = None
+    index: dict[str, int] = {}
     ballots: list[WeightedBallot] = []
     manipulators: tuple[int, ...] | None = None
     manipulators_line: int | None = None
@@ -107,6 +119,7 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
                     raise ParseError(f"duplicate label {label!r}", number)
                 seen.add(label)
             candidates = CandidateSet(tuple(labels))
+            index = _label_index(labels)
         elif line.startswith("ballot"):
             match = _BALLOT.match(line)
             if match is None:
@@ -114,7 +127,7 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
             if candidates is None:
                 raise ParseError("candidates line must precede ballots", number)
             weight = _parse_weight(match.group(1), "ballot", number)
-            ranking = _parse_ranking(match.group(2), candidates, number)
+            ranking = _parse_ranking(match.group(2), index, len(candidates), number)
             ballots.append(WeightedBallot(ranking, weight))
         elif line.startswith("manipulators:"):
             if manipulators is not None:
@@ -134,7 +147,7 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
             token = line[len("target:") :].strip()
             if not token or len(token.split()) != 1:
                 raise ParseError("target line must name exactly one candidate", number)
-            target = _lookup(token, candidates, number)
+            target = _lookup(token, index, number)
             target_line = number
         else:
             raise ParseError(f"unrecognized directive {line.split()[0]!r}", number)
@@ -155,7 +168,7 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
 
 def parse_vote(text: str, candidates: CandidateSet) -> Ranking:
     """Parse a standalone ranking such as "c > a > b"."""
-    return _parse_ranking(text, candidates)
+    return _parse_ranking(text, _label_index(candidates.labels), len(candidates))
 
 
 def format_vote(vote: Ranking, candidates: CandidateSet) -> str:

@@ -5,13 +5,26 @@ weight of the voters ranking x above y minus the total weight ranking y above
 x. All arithmetic is exact integer arithmetic. Total voter weight is capped
 so that every derived quantity stays inside the signed 64-bit range even
 though Python integers themselves never overflow.
+
+The matrix is tallied with one packed integer per row rather than a loop
+over pairs. Each ballot is walked from its last candidate up: packed[x]
+gains weight * below, where below has bit 64 * y set for every y already
+passed, so field y of packed[x] ends up holding the weight ranking x above
+y. One struct unpack per row reads the fields back, and entry (x, y) is
+2 * count - total. No field can carry into its neighbour: a field holds at
+most the total weight, which profiles cap at 2**63 - 1. Only an overlay can
+bring a larger total, and a total of 2**64 or more raises CapacityError
+before any row is read back; with two or more candidates such a coalition
+would break the cap on every pair anyway.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
+import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 INT64_MAX = 2**63 - 1
 
@@ -194,18 +207,30 @@ class MajorityGraph:
                     raise CapacityError("pairwise weight exceeds the signed 64-bit cap")
 
 
-def _accumulate(rows: list[list[int]], ranks: Sequence[int], weight: int) -> None:
-    """Add one ballot of the given weight to a mutable pairwise matrix in place."""
-    m = len(ranks)
+def _margins(m: int, ballots: Iterable[tuple[tuple[int, ...], int]]) -> list[list[int]]:
+    """Pairwise margin rows of (ranks, weight) ballots; the packed tally above."""
+    bits = [1 << (64 * x) for x in range(m)]
+    packed = [0] * m
+    total = 0
+    for ranks, weight in ballots:
+        total += weight
+        below = 0
+        for x in sorted(range(m), key=ranks.__getitem__):
+            packed[x] += weight * below
+            below |= bits[x]
+    # A field holds at most `total`, so only a total of 2**64 or more can
+    # have carried into the next field; with a pair to count, it breaks the
+    # cap too.
+    if total >> 64 and m > 1:
+        raise CapacityError("pairwise weight exceeds the signed 64-bit cap")
+    layout = f"<{m}Q"
+    rows = []
     for x in range(m):
-        rank_x = ranks[x]
-        for y in range(x + 1, m):
-            if rank_x > ranks[y]:
-                rows[x][y] += weight
-                rows[y][x] -= weight
-            else:
-                rows[x][y] -= weight
-                rows[y][x] += weight
+        counts = struct.unpack(layout, packed[x].to_bytes(8 * m, "little"))
+        row = [count + count - total for count in counts]
+        row[x] = 0
+        rows.append(row)
+    return rows
 
 
 def build_majority_graph(profile: WeightedProfile) -> MajorityGraph:
@@ -214,11 +239,8 @@ def build_majority_graph(profile: WeightedProfile) -> MajorityGraph:
     Entry (x, y) is the signed weight margin of voters preferring x to y;
     skew symmetry holds by construction.
     """
-    m = len(profile.candidates)
-    rows = [[0] * m for _ in range(m)]
-    for ballot in profile.ballots:
-        _accumulate(rows, ballot.ranking.ranks, ballot.weight)
-    return MajorityGraph(profile.candidates, rows)
+    ballots = ((ballot.ranking.ranks, ballot.weight) for ballot in profile.ballots)
+    return MajorityGraph(profile.candidates, _margins(len(profile.candidates), ballots))
 
 
 def overlay_identical_manipulators(
@@ -234,6 +256,8 @@ def overlay_identical_manipulators(
         raise ValueError(f"vote ranks {len(vote)} candidates, graph has {m}")
     if coalition_weight < 0:
         raise ValueError("coalition weight must be >= 0")
-    rows = [list(row) for row in graph.weights]
-    _accumulate(rows, vote.ranks, coalition_weight)
+    extra = _margins(m, ((vote.ranks, coalition_weight),))
+    rows = [
+        list(map(operator.add, row, more)) for row, more in zip(graph.weights, extra)
+    ]
     return MajorityGraph(graph.candidates, rows)

@@ -78,6 +78,19 @@ def test_parse_comments_and_blank_lines():
         ("candidates: a b\nballot 1: a >  > b\n", 2, "empty entry"),
         ("candidates: a b\nballot \u00b2: a > b\n", 2, "not a decimal integer"),
         ("candidates: a b\nmanipulators: \u00b9\ntarget: a\n", 2, "not a decimal integer"),
+        pytest.param(
+            "candidates: a b\nballot " + "9" * 5000 + ": a > b\n", 2, "64-bit cap",
+            id="ballot-weight-of-5000-digits",
+        ),
+        pytest.param(
+            "candidates: a b\nmanipulators: " + "1" * 5000 + "\ntarget: a\n", 2, "64-bit cap",
+            id="manipulator-weight-of-5000-digits",
+        ),
+        ("candidates: a b c\nballot 1: a > a > z\n", 2, "ranked twice"),
+        ("candidates: a b c\nballot 1: z > a > a\n", 2, "unknown candidate label 'z'"),
+        ("candidates: a b c\nballot 1: a > b*c\n", 2, "malformed label 'b*c'"),
+        ("candidates: a b c\nballot 1: a >\n", 2, "empty entry"),
+        ("candidates: a b\nballot 1: a > b > a\n", 2, "ranked twice"),
     ],
 )
 def test_parse_diagnostics_carry_line_numbers(text, line, fragment):

@@ -25,18 +25,32 @@ def ballot(order, weight):
 
 
 @st.composite
-def profiles(draw, max_m=4, max_ballots=4, max_weight=4):
+def profiles(draw, max_m=4, max_ballots=4, max_weight=4, min_weight=1):
     m = draw(st.integers(1, max_m))
     labels = tuple("abcdefghij"[:m])
     count = draw(st.integers(0, max_ballots))
     ballots = tuple(
         WeightedBallot(
             Ranking(tuple(draw(st.permutations(tuple(range(1, m + 1)))))),
-            draw(st.integers(1, max_weight)),
+            draw(st.integers(min_weight, max_weight)),
         )
         for _ in range(count)
     )
     return WeightedProfile(CandidateSet(labels), ballots)
+
+
+def pairwise_reference(profile):
+    """Margins summed one ballot and one pair at a time."""
+    m = len(profile.candidates)
+    rows = [[0] * m for _ in range(m)]
+    for ballot in profile.ballots:
+        ranks = ballot.ranking.ranks
+        for x in range(m):
+            for y in range(x + 1, m):
+                sign = 1 if ranks[x] > ranks[y] else -1
+                rows[x][y] += sign * ballot.weight
+                rows[y][x] -= sign * ballot.weight
+    return tuple(tuple(row) for row in rows)
 
 
 @st.composite
@@ -167,6 +181,55 @@ def test_graph_is_skew_symmetric_bounded_and_parity_correct(profile):
             assert graph.weights[x][y] == -graph.weights[y][x]
             assert abs(graph.weights[x][y]) <= total
             assert (graph.weights[x][y] - total) % 2 == 0
+
+
+# Three ballots of 2**60 to 2**61 fill fields past 2**62 yet stay under the cap.
+@given(
+    st.one_of(
+        profiles(), profiles(max_m=6, max_ballots=3, min_weight=2**60, max_weight=2**61)
+    )
+)
+def test_graph_matches_pairwise_reference(profile):
+    assert build_majority_graph(profile).weights == pairwise_reference(profile)
+
+
+def test_repeated_ballots_equal_one_summed_ballot():
+    order = [3, 0, 4, 1, 2]
+    candidates = CandidateSet(tuple("abcde"))
+    copies = WeightedProfile(candidates, (ballot(order, 7),) * 1000)
+    summed = WeightedProfile(candidates, (ballot(order, 7000),))
+    assert build_majority_graph(copies) == build_majority_graph(summed)
+    assert build_majority_graph(summed).weights[3][2] == 7000
+
+
+def test_graph_at_the_weight_cap():
+    two = CandidateSet(("a", "b"))
+    single = WeightedProfile(two, (ballot([0, 1], INT64_MAX),))
+    graph = build_majority_graph(single)
+    assert graph.weights == ((0, INT64_MAX), (-INT64_MAX, 0))
+    split = WeightedProfile(two, (ballot([0, 1], 2**62), ballot([1, 0], 2**62 - 1)))
+    assert build_majority_graph(split).weights == ((0, 1), (-1, 0))
+    four = CandidateSet(tuple("abcd"))
+    top = WeightedProfile(four, (ballot([2, 0, 3, 1], INT64_MAX),))
+    assert build_majority_graph(top).weights[2][1] == INT64_MAX
+    spread = WeightedProfile(
+        four,
+        (
+            ballot([2, 0, 3, 1], 2**62),
+            ballot([1, 3, 0, 2], 2**61),
+            ballot([3, 2, 1, 0], 2**61 - 1),
+        ),
+    )
+    for profile in (top, spread):
+        assert build_majority_graph(profile).weights == pairwise_reference(profile)
+    against = Ranking.from_order([1, 0])
+    overlaid = overlay_identical_manipulators(graph, against, 2**63 + 5)
+    assert overlaid.weights == ((0, -6), (6, 0))
+    for weight in (2**64, 2**64 + 3):
+        with pytest.raises(CapacityError) as info:
+            overlay_identical_manipulators(graph, against, weight)
+        assert type(info.value) is CapacityError
+        assert "pairwise weight exceeds the signed 64-bit cap" in str(info.value)
 
 
 @given(profiles(), st.randoms(use_true_random=False))
