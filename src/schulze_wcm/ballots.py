@@ -20,7 +20,6 @@ in between is rejected.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from .model import (
     INT64_MAX,
@@ -31,7 +30,7 @@ from .model import (
     WeightedProfile,
 )
 
-_LABEL = re.compile(r"^[A-Za-z0-9_-]+$")
+_LABEL = re.compile(r"^[A-Za-z0-9_-]+\Z")
 _BALLOT = re.compile(r"^ballot\s+(\S+)\s*:\s*(.*)$")
 
 
@@ -56,28 +55,23 @@ def _parse_weight(token: str, what: str, line: int) -> int:
     return weight
 
 
-def _label_index(labels: Iterable[str]) -> dict[str, int]:
-    """Map each well-formed label to its candidate index."""
-    return {label: i for i, label in enumerate(labels) if _LABEL.match(label)}
-
-
 def _parse_ranking(
     text: str, index: dict[str, int], m: int, line: int | None = None
 ) -> Ranking:
     parts = [part.strip() for part in text.split(">")]
     if any(not part for part in parts):
         raise ParseError("empty entry in ranking", line)
-    order = []
-    seen = set()
-    for label in parts:
-        position = _lookup(label, index, line)
-        if position in seen:
+    # A rank written is m - position >= 1, so 0 marks an unranked candidate;
+    # past m parts, the first repeat is reported before a rank of 0 is written.
+    ranks = [0] * m
+    for position, label in enumerate(parts):
+        candidate = _lookup(label, index, line)
+        if ranks[candidate]:
             raise ParseError(f"candidate {label!r} ranked twice", line)
-        seen.add(position)
-        order.append(position)
-    if len(order) != m:
-        raise ParseError(f"ranking covers {len(order)} of {m} candidates", line)
-    return Ranking.from_order(order)
+        ranks[candidate] = m - position
+    if len(parts) != m:
+        raise ParseError(f"ranking covers {len(parts)} of {m} candidates", line)
+    return Ranking(tuple(ranks))
 
 
 def _lookup(label: str, index: dict[str, int], line: int | None) -> int:
@@ -113,13 +107,11 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
             for label in labels:
                 if not _LABEL.match(label):
                     raise ParseError(f"malformed label {label!r}", number)
-            seen: set[str] = set()
-            for label in labels:
-                if label in seen:
+            for position, label in enumerate(labels):
+                if label in index:
                     raise ParseError(f"duplicate label {label!r}", number)
-                seen.add(label)
+                index[label] = position
             candidates = CandidateSet(tuple(labels))
-            index = _label_index(labels)
         elif line.startswith("ballot"):
             match = _BALLOT.match(line)
             if match is None:
@@ -168,7 +160,11 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
 
 def parse_vote(text: str, candidates: CandidateSet) -> Ranking:
     """Parse a standalone ranking such as "c > a > b"."""
-    return _parse_ranking(text, _label_index(candidates.labels), len(candidates))
+    # Well-formed labels only, so `_lookup` reports a malformed one as such.
+    index = {
+        label: i for i, label in enumerate(candidates.labels) if _LABEL.match(label)
+    }
+    return _parse_ranking(text, index, len(candidates))
 
 
 def format_vote(vote: Ranking, candidates: CandidateSet) -> str:
@@ -182,13 +178,17 @@ def serialize_election(
     """Render an election back into the file grammar.
 
     The output parses back to an equal object (instances come back in the
-    default UNIQUE mode, which the file grammar does not record).
+    default UNIQUE mode, which the file grammar does not record). A label
+    the grammar cannot carry raises ValueError.
     """
     if isinstance(election, ManipulationInstance):
         profile = election.profile
     else:
         profile = election
     candidates = profile.candidates
+    for label in candidates.labels:
+        if not _LABEL.match(label):
+            raise ValueError(f"label {label!r} does not fit the file grammar")
     lines = ["candidates: " + " ".join(candidates.labels)]
     for ballot in profile.ballots:
         lines.append(

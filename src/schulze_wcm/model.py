@@ -125,6 +125,8 @@ class WeightedBallot:
     weight: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.weight, int):
+            raise ValueError(f"ballot weight must be an int, got {self.weight!r}")
         if self.weight < 1:
             raise ValueError("ballot weight must be >= 1")
 
@@ -168,6 +170,8 @@ class ManipulationInstance:
         if not 0 <= self.target < len(self.profile.candidates):
             raise ValueError(f"target index {self.target} out of range")
         for weight in self.manipulator_weights:
+            if not isinstance(weight, int):
+                raise ValueError(f"manipulator weights must be ints, got {weight!r}")
             if weight < 1:
                 raise ValueError("manipulator weights must be >= 1")
         if not isinstance(self.mode, Mode):

@@ -55,6 +55,8 @@ class BoundFunction:
         object.__setattr__(self, "values", tuple(self.values))
         if not 0 <= self.target < len(self.values):
             raise ValueError(f"target index {self.target} out of range")
+        if not isinstance(self.mode, Mode):
+            raise ValueError(f"mode must be a Mode, got {self.mode!r}")
         for x, value in enumerate(self.values):
             if x == self.target:
                 if value != INF:
@@ -144,14 +146,11 @@ def compute_bound_function(
         raise ValueError(f"target index {target} out of range")
     if coalition_weight < 0:
         raise ValueError("coalition weight must be >= 0")
-    if m == 1:
-        return BoundFunction((INF,), target, mode), 0
 
     weights = graph.weights
-    start = (
-        max(weights[y][z] for y in range(m) for z in range(m) if y != z)
-        + coalition_weight
-    )
+    # The matrix is skew-symmetric with a zero diagonal, so its largest entry
+    # is the largest pairwise weight (or 0 with a single candidate).
+    start = max(map(max, weights)) + coalition_weight
     bounds: list = [start] * m
     bounds[target] = INF
     # Each candidate walks down a value set of at most m*(m-1)+1 entries, so

@@ -1,6 +1,7 @@
 """Election file grammar: parsing, diagnostics, serialization round trips."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,8 @@ from schulze_wcm import (
     serialize_election,
 )
 from schulze_wcm.sampling import random_instance, random_profile
+
+DATA = Path(__file__).parent / "data"
 
 INSTANCE_TEXT = """\
 candidates: a c
@@ -91,6 +94,7 @@ def test_parse_comments_and_blank_lines():
         ("candidates: a b c\nballot 1: a > b*c\n", 2, "malformed label 'b*c'"),
         ("candidates: a b c\nballot 1: a >\n", 2, "empty entry"),
         ("candidates: a b\nballot 1: a > b > a\n", 2, "ranked twice"),
+        ("candidates: a a b*c\n", 1, "malformed label 'b*c'"),
     ],
 )
 def test_parse_diagnostics_carry_line_numbers(text, line, fragment):
@@ -98,6 +102,23 @@ def test_parse_diagnostics_carry_line_numbers(text, line, fragment):
         parse_election_file(text)
     assert info.value.line == line
     assert fragment in str(info.value)
+
+
+def test_parser_writes_ranks_itself(monkeypatch):
+    # The parse loop already proves each line a permutation; it must not
+    # hand the order to Ranking.from_order to be proved again.
+    texts = [path.read_text() for path in sorted(DATA.glob("*.elect"))]
+    profile = random_profile(random.Random(7), 30, ballots=(1500, 1500))
+    texts.append(serialize_election(profile))
+    expected = [parse_election_file(text) for text in texts]
+
+    def refuse(order):
+        raise AssertionError("Ranking.from_order called")
+
+    monkeypatch.setattr(Ranking, "from_order", refuse)
+    assert [parse_election_file(text) for text in texts] == expected
+    assert expected[-1] == profile
+    assert parse_vote("c > a > b", CandidateSet(("a", "b", "c"))).ranks == (2, 1, 3)
 
 
 def test_missing_candidates_line():
@@ -122,6 +143,18 @@ def test_serialize_instance_round_trip_text():
     parsed = parse_election_file(INSTANCE_TEXT)
     assert serialize_election(parsed) == INSTANCE_TEXT
     assert parse_election_file(serialize_election(parsed)) == parsed
+
+
+@pytest.mark.parametrize(
+    "labels, bad",
+    [(("a#", "b"), "a#"), (("b", "a b", "c*"), "a b"), (("a\n", "b"), "a\n")],
+    ids=["comment-sign", "space", "trailing-newline"],
+)
+def test_serialize_rejects_labels_the_grammar_cannot_carry(labels, bad):
+    profile = WeightedProfile(CandidateSet(labels), ())
+    with pytest.raises(ValueError) as info:
+        serialize_election(profile)
+    assert repr(bad) in str(info.value)
 
 
 def test_random_round_trips():

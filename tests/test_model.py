@@ -94,6 +94,9 @@ def test_ballot_and_profile_validation():
         WeightedBallot(Ranking((1, 2)), 0)
     with pytest.raises(ValueError):
         WeightedProfile(ABC, (ballot([0, 1], 1),))  # wrong arity
+    for weight in (1.5, 2.0, "1"):
+        with pytest.raises(ValueError):
+            WeightedBallot(Ranking((1, 2)), weight)
 
 
 def test_instance_validation():
@@ -104,6 +107,9 @@ def test_instance_validation():
         ManipulationInstance(profile, (0,), 1)
     with pytest.raises(ValueError):
         ManipulationInstance(profile, (1,), 1, mode="unique")
+    for weight in (2.0, 0.5, "1"):
+        with pytest.raises(ValueError):
+            ManipulationInstance(profile, (1, weight), 2)
     inst = ManipulationInstance(profile, (2, 1), 2)
     assert inst.coalition_weight == 3 and inst.mode is Mode.UNIQUE
 

@@ -71,6 +71,8 @@ def test_bound_function_validation():
         BoundFunction((INF, INF), 0, Mode.UNIQUE)
     with pytest.raises(ValueError):
         BoundFunction((INF, 3), 2, Mode.UNIQUE)
+    with pytest.raises(ValueError):
+        BoundFunction((INF, 3), 0, "unique")
 
 
 # ---------------------------------------------------------- bound computation
@@ -125,10 +127,13 @@ def test_bound_fixed_point_without_any_application():
     assert applications == 0
 
 
-def test_bound_single_candidate():
+@pytest.mark.parametrize("coalition_weight", [0, 5])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_bound_single_candidate(mode, coalition_weight):
     graph = MajorityGraph(CandidateSet(("c",)), ((0,),))
-    bounds, applications = compute_bound_function(graph, 0, 5, Mode.UNIQUE)
+    bounds, applications = compute_bound_function(graph, 0, coalition_weight, mode)
     assert bounds.values == (INF,) and applications == 0
+    assert bounds.mode is mode
 
 
 def test_bound_rejects_bad_arguments():
@@ -137,6 +142,8 @@ def test_bound_rejects_bad_arguments():
         compute_bound_function(graph, 5, 1, Mode.UNIQUE)
     with pytest.raises(ValueError):
         compute_bound_function(graph, 0, -1, Mode.UNIQUE)
+    with pytest.raises(ValueError):
+        compute_bound_function(graph, 1, 1, "unique")
 
 
 # -------------------------------------------------------------------- decide
