@@ -5,8 +5,11 @@ between two candidates is the best bottleneck over all directed paths from
 one to the other in the complete pairwise graph. A candidate wins when no
 rival reaches it with strictly more strength than it reaches the rival.
 
-Two kernels compute strengths: `widest_path_strengths` gives all pairs in
-O(m^3) and backs the full winner set; `widest_from` is the single-source
+Two kernels compute strengths. `widest_path_strengths` gives all pairs and
+backs the full winner set: strength(x, z) >= w exactly when z is reachable
+from x over edges of weight >= w, so it adds edges from the heaviest down,
+keeps each row's reach set as one bitset, and records every pair at the
+level where it first becomes reachable. `widest_from` is the single-source
 kernel, O(m^2), behind the solver's path rule. One candidate's status needs
 only its own row and column, so `is_unique_winner` and `is_schulze_winner`
 settle it with two single-source runs, forward and on the transpose, in
@@ -16,7 +19,9 @@ O(m^2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .model import CandidateSet, InternalInvariantError, MajorityGraph
@@ -30,25 +35,42 @@ def widest_path_strengths(weights: Sequence[Sequence[int]]) -> list[list[int]]:
     smallest edge weight on the path. Diagonal entries of both the input and
     the output carry no meaning and must not be read.
 
-    The classic triple loop runs in O(m^3); relaxing through a vertex k can
-    only reuse already-final rows, so one pass suffices.
+    The edges are added in descending weight order while reach[r], a bitset
+    holding r itself, tracks what row r reaches over the edges added so far.
+    An edge (i, j) extends every row that reaches i by what j reaches; each
+    pair that enters a reach set this way has strength exactly the current
+    weight, since no heavier level connected it and this one does. Diagonal
+    edges and edges inside a reach set change nothing and are skipped. Each
+    pair is written once, and the scan stops when every row is full. At most
+    m(m-1) edges extend a row, each after an O(m) pass over the rows, so the
+    worst case is O(m^3) operations on m-bit ints after an O(m^2 log m) sort.
     """
     m = len(weights)
-    strengths = [list(row) for row in weights]
-    for k in range(m):
-        row_k = strengths[k]
-        for i in range(m):
-            if i == k:
-                continue
-            row_i = strengths[i]
-            cap = row_i[k]
-            for j in range(m):
-                v = row_k[j]
-                if cap < v:
-                    v = cap
-                if v > row_i[j]:
-                    row_i[j] = v
-    return strengths
+    flat = list(chain.from_iterable(weights))
+    out = [list(row) for row in weights]
+    reach = [1 << x for x in range(m)]
+    left = m * (m - 1)
+    for edge in sorted(range(m * m), key=flat.__getitem__, reverse=True):
+        i, j = divmod(edge, m)
+        if reach[i] >> j & 1:
+            continue
+        w = flat[edge]
+        via = 1 << i
+        gain = reach[j]
+        for r, have in enumerate(reach):
+            if have & via:
+                new = gain & ~have
+                if new:
+                    reach[r] = have | new
+                    left -= new.bit_count()
+                    out_r = out[r]
+                    while new:
+                        low = new & -new
+                        out_r[low.bit_length() - 1] = w
+                        new ^= low
+        if not left:
+            break
+    return out
 
 
 def widest_from(
@@ -114,12 +136,12 @@ def schulze_winners(graph: MajorityGraph) -> tuple[int, ...]:
     Candidate x wins when strength(x, y) >= strength(y, x) for every rival y.
     The winner set is never empty.
     """
-    m = len(graph.candidates)
     strengths = widest_path_strengths(graph.weights)
+    # The diagonal meets itself in the row-against-column comparison.
     winners = tuple(
         x
-        for x in range(m)
-        if all(strengths[x][y] >= strengths[y][x] for y in range(m) if y != x)
+        for x, (row, column) in enumerate(zip(strengths, zip(*strengths)))
+        if all(map(operator.ge, row, column))
     )
     if not winners:
         raise InternalInvariantError("winner set came out empty")

@@ -93,6 +93,11 @@ class Ranking:
         m = len(self.ranks)
         if sorted(self.ranks) != list(range(1, m + 1)):
             raise ValueError("ranks must be a bijection onto 1..m")
+        # The ranks now compare equal to 1..m, so their sum is an int unless
+        # one is a float, Fraction or other non-int number. The sum runs in
+        # C, a small cost beside the sort on every parsed ballot.
+        if type(sum(self.ranks)) is not int:
+            raise ValueError("ranks must be ints")
 
     @classmethod
     def from_order(cls, order: Sequence[int]) -> "Ranking":
@@ -167,6 +172,8 @@ class ManipulationInstance:
         object.__setattr__(
             self, "manipulator_weights", tuple(self.manipulator_weights)
         )
+        if not isinstance(self.target, int):
+            raise ValueError(f"target index must be an int, got {self.target!r}")
         if not 0 <= self.target < len(self.profile.candidates):
             raise ValueError(f"target index {self.target} out of range")
         for weight in self.manipulator_weights:

@@ -74,11 +74,17 @@ def random_skew_graph(
     """
     if parity is None:
         parity = rng.randint(0, 1)
-    allowed = [v for v in range(-magnitude, magnitude + 1) if v % 2 == parity]
+    # The allowed values run first, first + 2, ..., up to magnitude; drawing
+    # an offset into them consumes the stream exactly as rng.choice over the
+    # listed values would, without building the list.
+    first = -magnitude + (magnitude + parity) % 2
+    count = (magnitude - first) // 2 + 1
+    if parity not in (0, 1) or count < 1:
+        raise ValueError(f"no value of parity {parity} has magnitude <= {magnitude}")
     rows = [[0] * m for _ in range(m)]
     for x in range(m):
         for y in range(x + 1, m):
-            value = rng.choice(allowed)
+            value = first + 2 * rng.randrange(count)
             rows[x][y] = value
             rows[y][x] = -value
     return MajorityGraph(

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import enumerated_strengths
 from schulze_wcm import (
+    INT64_MAX,
     CandidateSet,
     MajorityGraph,
     Ranking,
@@ -19,6 +20,7 @@ from schulze_wcm import (
     widest_path_strengths,
 )
 from schulze_wcm.engine import is_schulze_winner, widest_from
+from schulze_wcm.oracle import _strengths as oracle_strengths
 from schulze_wcm.sampling import random_skew_graph
 
 ABC = CandidateSet(("a", "b", "c"))
@@ -99,6 +101,70 @@ def test_widest_path_matches_enumeration(weights):
         for y in range(m):
             if x != y:
                 assert got[x][y] == want[x][y]
+
+
+def off_diagonal(matrix):
+    m = len(matrix)
+    return [[matrix[x][y] for y in range(m) if y != x] for x in range(m)]
+
+
+def oracle_winners(weights):
+    s = oracle_strengths([list(row) for row in weights])
+    m = len(s)
+    return tuple(
+        x for x in range(m) if all(s[x][y] >= s[y][x] for y in range(m) if y != x)
+    )
+
+
+@given(
+    st.one_of(
+        arbitrary_matrices(max_m=8, magnitude=3),
+        skew_graphs(max_m=8, magnitude=1).map(lambda graph: graph.weights),
+    )
+)
+def test_widest_path_matches_oracle_copy(weights):
+    want = oracle_strengths([list(row) for row in weights])
+    assert off_diagonal(widest_path_strengths(weights)) == off_diagonal(want)
+
+
+@pytest.mark.parametrize("m", [40, 60])
+def test_strengths_and_winners_match_oracle_on_large_graphs(m):
+    rng = random.Random(m)
+    for magnitude in (1, 3, 1000):
+        for parity in (0, 1):
+            graph = random_skew_graph(rng, m, magnitude=magnitude, parity=parity)
+            want = oracle_strengths([list(row) for row in graph.weights])
+            got = path_strength_matrix(graph).strength
+            assert off_diagonal(got) == off_diagonal(want)
+            assert schulze_winners(graph) == oracle_winners(graph.weights)
+
+
+@given(
+    arbitrary_matrices(max_m=6),
+    st.lists(st.integers(-(2**64), 2**64), min_size=6, max_size=6),
+)
+def test_widest_path_ignores_the_diagonal(weights, diagonal):
+    changed = [row[:] for row in weights]
+    for x in range(len(changed)):
+        changed[x][x] = diagonal[x]
+    assert off_diagonal(widest_path_strengths(changed)) == off_diagonal(
+        widest_path_strengths(weights)
+    )
+
+
+def test_strengths_and_winners_at_the_weight_cap():
+    top = INT64_MAX
+    rng = random.Random(5)
+    for _ in range(50):
+        m = rng.randint(2, 6)
+        pairs = m * (m - 1) // 2
+        upper = [rng.choice((top, -top, top - 1, 1 - top)) for _ in range(pairs)]
+        graph = skew(tuple("abcdef"[:m]), upper)
+        weights = graph.weights
+        want = enumerated_strengths(weights)
+        got = widest_path_strengths(weights)
+        assert off_diagonal(got) == off_diagonal(want)
+        assert schulze_winners(graph) == oracle_winners(weights)
 
 
 @given(arbitrary_matrices())

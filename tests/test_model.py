@@ -1,5 +1,8 @@
 """Core model: rankings, profiles, majority graphs, overlay."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,6 +80,13 @@ def test_ranking_rejects_non_bijection():
         Ranking.from_order([0, 0, 1])
 
 
+def test_ranking_rejects_non_int_ranks():
+    # Each of these sorts equal to 1..m, so only the type check stops it.
+    for ranks in ((1.0, 2.0), (2, 1.0), (1, 2, 3.0), (Fraction(1), 2), (Decimal(1),)):
+        with pytest.raises(ValueError, match="ints"):
+            Ranking(ranks)
+
+
 def test_candidate_set_validation():
     with pytest.raises(ValueError):
         CandidateSet(())
@@ -110,6 +120,9 @@ def test_instance_validation():
     for weight in (2.0, 0.5, "1"):
         with pytest.raises(ValueError):
             ManipulationInstance(profile, (1, weight), 2)
+    for target in (1.0, 0.0, "1", None):
+        with pytest.raises(ValueError, match="target index"):
+            ManipulationInstance(profile, (1,), target)
     inst = ManipulationInstance(profile, (2, 1), 2)
     assert inst.coalition_weight == 3 and inst.mode is Mode.UNIQUE
 
