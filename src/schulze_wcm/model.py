@@ -6,16 +6,40 @@ x. All arithmetic is exact integer arithmetic. Total voter weight is capped
 so that every derived quantity stays inside the signed 64-bit range even
 though Python integers themselves never overflow.
 
-The matrix is tallied with one packed integer per row rather than a loop
-over pairs. Each ballot is walked from its last candidate up: packed[x]
-gains weight * below, where below has bit 64 * y set for every y already
-passed, so field y of packed[x] ends up holding the weight ranking x above
-y. One struct unpack per row reads the fields back, and entry (x, y) is
-2 * count - total. No field can carry into its neighbour: a field holds at
-most the total weight, which profiles cap at 2**63 - 1. Only an overlay can
-bring a larger total, and a total of 2**64 or more raises CapacityError
-before any row is read back; with two or more candidates such a coalition
-would break the cap on every pair anyway.
+`_margins` tallies the matrix in one of two exact layouts and writes entry
+(x, y) as 2 * count - total, where count is the weight ranking x above y.
+
+Rows: one packed integer per candidate. Each ballot is walked from its last
+candidate up: packed[x] gains weight * below, where below has bit 64 * y set
+for every y already passed, so field y of packed[x] ends up holding the
+weight ranking x above y. One struct unpack per row reads the fields back.
+No field can carry into its neighbour: a field holds at most the total
+weight, which profiles cap at 2**63 - 1. Only an overlay can bring a larger
+total, and a total of 2**64 or more raises CapacityError before either
+layout runs; with two or more candidates such a coalition would break the
+cap on every pair anyway. This costs about m big-int steps per ballot.
+
+Lanes: one packed integer per candidate holding its rank on every ballot,
+one L-bit lane per ballot, with L = 8, 16 or 32 chosen so that the rank m
+stays below the lane's top bit. guard holds the top bit of every lane. In
+(column[x] | guard) - column[y] each lane computes 2**(L-1) + rank_x -
+rank_y, which lies strictly between 0 and 2**L because both ranks lie in
+1..m < 2**(L-1), so no lane borrows from its neighbour and the top bit
+survives exactly when the ballot ranks x above y. Masking with guard and
+then with each bit plane of the ballot weights (plane j has lane b's top bit
+set when bit j of ballot b's weight is) gives count = sum of
+popcount(above & plane_j) << j. This costs about m * m / 2 * (planes + 1)
+big-int steps on n-lane integers, whatever the number n of ballots.
+
+Neither layout wins everywhere. Lanes win when ballots far outnumber the
+weight bit planes (about 5x faster at 30 candidates, 1500 ballots, weights
+1-3); rows win for a few ballots, one ballot above all, and for weights with
+many bits. `_margins` picks lanes when (planes + 1) * L < 128, so that a
+lane compare spends fewer bits per ballot on the pair {x, y} than the row
+layout's two 64-bit fields (x, y) and (y, x) do, and when n >= 12 *
+(planes + 1), so that there are enough ballots to pay for each per-pair
+step (`_LANE_BALLOTS_PER_STEP`). Both conditions read only n, m and the
+largest weight.
 """
 
 from __future__ import annotations
@@ -23,10 +47,16 @@ from __future__ import annotations
 import enum
 import operator
 import struct
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 INT64_MAX = 2**63 - 1
+# Lanes pay for their per-pair steps once there are about this many ballots
+# per step: the measured crossover is 6 to 17 ballots per (planes + 1) for
+# m = 3 to 250 (calibration table in CHANGES.md).
+_LANE_BALLOTS_PER_STEP = 12
 
 
 class CapacityError(ValueError):
@@ -62,7 +92,7 @@ class CandidateSet:
         if not self.labels:
             raise ValueError("candidate set must not be empty")
         for label in self.labels:
-            if not label:
+            if not isinstance(label, str) or not label:
                 raise ValueError("candidate labels must be non-empty strings")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("candidate labels must be pairwise distinct")
@@ -218,22 +248,38 @@ class MajorityGraph:
                     raise CapacityError("pairwise weight exceeds the signed 64-bit cap")
 
 
-def _margins(m: int, ballots: Iterable[tuple[tuple[int, ...], int]]) -> list[list[int]]:
-    """Pairwise margin rows of (ranks, weight) ballots; the packed tally above."""
+def _margins(m: int, ballots: Sequence[tuple[tuple[int, ...], int]]) -> list[list[int]]:
+    """Pairwise margin rows of (ranks, weight) ballots, in the layout that suits them.
+
+    Both layouts are described in the module docstring.
+    """
+    total = sum(weight for _, weight in ballots)
+    # A row field holds at most `total`, so only a total of 2**64 or more
+    # could carry into the next field; with a pair to count, it breaks the
+    # cap too. Checking here makes both layouts raise alike.
+    if total >> 64 and m > 1:
+        raise CapacityError("pairwise weight exceeds the signed 64-bit cap")
+    if m == 1 or not ballots:
+        return [[0] * m for _ in range(m)]
+    planes = max(weight for _, weight in ballots).bit_length()
+    lane_bits = 8 * array(_lane_code(m)).itemsize
+    steps = planes + 1
+    if steps * lane_bits < 128 and len(ballots) >= _LANE_BALLOTS_PER_STEP * steps:
+        return _lane_margins(m, ballots, total)
+    return _row_margins(m, ballots, total)
+
+
+def _row_margins(
+    m: int, ballots: Sequence[tuple[tuple[int, ...], int]], total: int
+) -> list[list[int]]:
+    """The row layout: one packed row of 64-bit fields per candidate."""
     bits = [1 << (64 * x) for x in range(m)]
     packed = [0] * m
-    total = 0
     for ranks, weight in ballots:
-        total += weight
         below = 0
         for x in sorted(range(m), key=ranks.__getitem__):
             packed[x] += weight * below
             below |= bits[x]
-    # A field holds at most `total`, so only a total of 2**64 or more can
-    # have carried into the next field; with a pair to count, it breaks the
-    # cap too.
-    if total >> 64 and m > 1:
-        raise CapacityError("pairwise weight exceeds the signed 64-bit cap")
     layout = f"<{m}Q"
     rows = []
     for x in range(m):
@@ -244,13 +290,52 @@ def _margins(m: int, ballots: Iterable[tuple[tuple[int, ...], int]]) -> list[lis
     return rows
 
 
+def _lane_code(m: int) -> str:
+    """Array type code of the narrowest lane whose top bit lies above rank m."""
+    return "B" if m < 1 << 7 else "H" if m < 1 << 15 else "I"
+
+
+def _lane_margins(
+    m: int, ballots: Sequence[tuple[tuple[int, ...], int]], total: int
+) -> list[list[int]]:
+    """The lane layout: one lane per ballot, one borrow-free compare per pair."""
+    code = _lane_code(m)
+    top = 1 << (8 * array(code).itemsize - 1)
+    rankings, weights = zip(*ballots)
+
+    def pack(lanes: Iterable[int]) -> int:
+        return int.from_bytes(array(code, lanes).tobytes(), "little")
+
+    guard = pack([top] * len(weights))
+    columns = [pack(column) for column in zip(*rankings)]
+    planes = [
+        (j, pack([top if weight >> j & 1 else 0 for weight in weights]))
+        for j in range(max(weights).bit_length())
+    ]
+    rows: list[list[int]] = []
+    for x in range(m):
+        # Lane b of each entry keeps its top bit when ballot b ranks x above y.
+        high = columns[x] | guard
+        above = list(map(guard.__and__, map(high.__sub__, columns[x + 1 :])))
+        counts = [0] * len(above)
+        for j, plane in planes:
+            found = map(int.bit_count, map(plane.__and__, above))
+            weighted = map(operator.lshift, found, repeat(j))
+            counts = list(map(operator.add, counts, weighted))
+        row = [-rows[y][x] for y in range(x)]
+        row.append(0)
+        row.extend([count + count - total for count in counts])
+        rows.append(row)
+    return rows
+
+
 def build_majority_graph(profile: WeightedProfile) -> MajorityGraph:
     """Accumulate the pairwise weight matrix of a profile.
 
     Entry (x, y) is the signed weight margin of voters preferring x to y;
     skew symmetry holds by construction.
     """
-    ballots = ((ballot.ranking.ranks, ballot.weight) for ballot in profile.ballots)
+    ballots = [(ballot.ranking.ranks, ballot.weight) for ballot in profile.ballots]
     return MajorityGraph(profile.candidates, _margins(len(profile.candidates), ballots))
 
 
@@ -265,6 +350,8 @@ def overlay_identical_manipulators(
     m = len(graph.candidates)
     if len(vote) != m:
         raise ValueError(f"vote ranks {len(vote)} candidates, graph has {m}")
+    if not isinstance(coalition_weight, int):
+        raise ValueError(f"coalition weight must be an int, got {coalition_weight!r}")
     if coalition_weight < 0:
         raise ValueError("coalition weight must be >= 0")
     extra = _margins(m, ((vote.ranks, coalition_weight),))

@@ -1,10 +1,13 @@
 """Core model: rankings, profiles, majority graphs, overlay."""
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from schulze_wcm import model
 
 from schulze_wcm import (
     INT64_MAX,
@@ -28,10 +31,12 @@ def ballot(order, weight):
 
 
 @st.composite
-def profiles(draw, max_m=4, max_ballots=4, max_weight=4, min_weight=1):
-    m = draw(st.integers(1, max_m))
+def profiles(
+    draw, max_m=4, max_ballots=4, max_weight=4, min_weight=1, min_m=1, min_ballots=0
+):
+    m = draw(st.integers(min_m, max_m))
     labels = tuple("abcdefghij"[:m])
-    count = draw(st.integers(0, max_ballots))
+    count = draw(st.integers(min_ballots, max_ballots))
     ballots = tuple(
         WeightedBallot(
             Ranking(tuple(draw(st.permutations(tuple(range(1, m + 1)))))),
@@ -54,6 +59,37 @@ def pairwise_reference(profile):
                 rows[x][y] += sign * ballot.weight
                 rows[y][x] -= sign * ballot.weight
     return tuple(tuple(row) for row in rows)
+
+
+def seeded_profile(seed, m, count, max_weight=3):
+    """A reproducible random profile with labels c0, c1, ...
+
+    Weights are drawn from 1..max_weight, except that the first ballot
+    carries max_weight itself, which fixes the number of weight bit planes.
+    """
+    rng = random.Random(seed)
+    ranks = list(range(1, m + 1))
+    ballots = []
+    for i in range(count):
+        rng.shuffle(ranks)
+        weight = max_weight if i == 0 else rng.randint(1, max_weight)
+        ballots.append(WeightedBallot(Ranking(tuple(ranks)), weight))
+    labels = tuple(f"c{i}" for i in range(m))
+    return WeightedProfile(CandidateSet(labels), tuple(ballots))
+
+
+def tallied(profile):
+    """The profile as `_margins` input: (ranks, weight) pairs and the total."""
+    pairs = [(ballot.ranking.ranks, ballot.weight) for ballot in profile.ballots]
+    return pairs, profile.total_weight
+
+
+def assert_layouts_match_reference(profile):
+    m = len(profile.candidates)
+    pairs, total = tallied(profile)
+    expected = [list(row) for row in pairwise_reference(profile)]
+    assert model._row_margins(m, pairs, total) == expected
+    assert model._lane_margins(m, pairs, total) == expected
 
 
 @st.composite
@@ -94,6 +130,8 @@ def test_candidate_set_validation():
         CandidateSet(("a", "a"))
     with pytest.raises(ValueError):
         CandidateSet(("a", ""))
+    with pytest.raises(ValueError, match="non-empty strings"):
+        CandidateSet((1, 2))
     assert ABC.index("b") == 1
     with pytest.raises(ValueError):
         ABC.index("z")
@@ -185,6 +223,11 @@ def test_overlay_rejects_bad_arguments():
         overlay_identical_manipulators(graph, Ranking((1, 2)), 1)
     with pytest.raises(ValueError):
         overlay_identical_manipulators(graph, Ranking((1, 2, 3)), -1)
+    for weight in (1.5, "3"):
+        with pytest.raises(ValueError, match="must be an int"):
+            overlay_identical_manipulators(graph, Ranking((1, 2, 3)), weight)
+    overlaid = overlay_identical_manipulators(graph, Ranking((1, 2, 3)), True)
+    assert overlaid.weights[2][0] == 1
 
 
 @given(profiles())
@@ -279,3 +322,133 @@ def test_overlay_with_zero_weight_is_identity(data):
     vote = data.draw(votes_for(len(profile.candidates)))
     graph = build_majority_graph(profile)
     assert overlay_identical_manipulators(graph, vote, 0) == graph
+
+
+# ------------------------------------------------- row and lane tally layouts
+
+
+# Each layout is called directly, whichever one `_margins` would pick. The
+# empty profile is the entry point's own case, so the layouts see one ballot
+# or more.
+@given(
+    st.one_of(
+        profiles(max_m=8, max_ballots=60, max_weight=3, min_ballots=1),
+        profiles(max_m=8, max_ballots=60, max_weight=2**40, min_ballots=1),
+    )
+)
+def test_layouts_match_pairwise_reference(profile):
+    assert_layouts_match_reference(profile)
+
+
+@pytest.mark.parametrize(
+    "m, count, code", [(127, 30, "B"), (128, 30, "H"), (100, 1, "B")]
+)
+def test_layouts_at_lane_width_edges_and_one_ballot(m, count, code):
+    # Rank 127 is the largest an 8-bit lane holds below its top bit.
+    assert model._lane_code(m) == code
+    assert_layouts_match_reference(seeded_profile(m + count, m, count))
+
+
+def test_layouts_at_the_weight_cap():
+    weights = (2**62, 2**60, 2**60, 2**60, 2**60 - 1)
+    assert sum(weights) == INT64_MAX
+    orders = ([2, 0, 3, 1], [1, 3, 0, 2], [3, 2, 1, 0], [0, 1, 2, 3], [2, 3, 0, 1])
+    profile = WeightedProfile(
+        CandidateSet(tuple("abcd")),
+        tuple(ballot(order, weight) for order, weight in zip(orders, weights)),
+    )
+    assert_layouts_match_reference(profile)
+
+
+@pytest.mark.parametrize(
+    "m, count, max_weight, layout",
+    [
+        (30, 400, 3, "_lane_margins"),  # many ballots, few planes
+        (8, 36, 3, "_lane_margins"),  # the smallest count lanes take at 2 planes
+        (8, 35, 3, "_row_margins"),
+        (100, 20, 3, "_row_margins"),  # the benchmark's many-candidate shape
+        (30, 1, 3, "_row_margins"),  # one ballot, as every overlay casts
+        (6, 400, 2**20, "_row_margins"),  # too many weight planes
+        (200, 120, 2**7 - 1, "_row_margins"),  # 16-bit lanes allow 6 planes
+        (200, 120, 2**6 - 1, "_lane_margins"),
+    ],
+)
+def test_margins_picks_a_layout_and_matches_both(
+    monkeypatch, m, count, max_weight, layout
+):
+    profile = seeded_profile(count, m, count, max_weight)
+    pairs, total = tallied(profile)
+    expected = model._row_margins(m, pairs, total)
+    assert model._lane_margins(m, pairs, total) == expected
+    picked = []
+    original = getattr(model, layout)
+
+    def spy(*args):
+        picked.append(layout)
+        return original(*args)
+
+    monkeypatch.setattr(model, layout, spy)
+    assert model._margins(m, pairs) == expected
+    assert picked == [layout]
+
+
+# Large enough that `_margins` picks the lane layout, before and after each
+# change below: 60 or more ballots carry up to 4 weight bit planes
+# (12 * (4 + 1) = 60), and weights stay at most 15 after scaling by up to 5.
+lane_profiles = profiles(min_m=2, max_m=6, min_ballots=60, max_ballots=80, max_weight=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lane_profiles, st.integers(1, 3), st.data())
+def test_adding_a_ballot_and_its_reverse_changes_nothing(profile, weight, data):
+    m = len(profile.candidates)
+    vote = data.draw(votes_for(m))
+    reverse = Ranking(tuple(m + 1 - rank for rank in vote.ranks))
+    extended = WeightedProfile(
+        profile.candidates,
+        profile.ballots
+        + (WeightedBallot(vote, weight), WeightedBallot(reverse, weight)),
+    )
+    assert build_majority_graph(extended) == build_majority_graph(profile)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lane_profiles, st.integers(1, 5))
+def test_scaling_every_weight_scales_every_entry(profile, k):
+    scaled = WeightedProfile(
+        profile.candidates,
+        tuple(WeightedBallot(b.ranking, k * b.weight) for b in profile.ballots),
+    )
+    weights = build_majority_graph(profile).weights
+    expected = tuple(tuple(k * entry for entry in row) for row in weights)
+    assert build_majority_graph(scaled).weights == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relabelling_permutes_rows_and_columns(data):
+    profile = data.draw(lane_profiles)
+    m = len(profile.candidates)
+    # Candidate x of the profile is candidate new[x] of the relabelled one.
+    new = data.draw(st.permutations(range(m)))
+    labels = [None] * m
+    for x in range(m):
+        labels[new[x]] = profile.candidates.labels[x]
+
+    def moved(ranks):
+        out = [0] * m
+        for x in range(m):
+            out[new[x]] = ranks[x]
+        return Ranking(tuple(out))
+
+    relabelled = WeightedProfile(
+        CandidateSet(tuple(labels)),
+        tuple(
+            WeightedBallot(moved(b.ranking.ranks), b.weight) for b in profile.ballots
+        ),
+    )
+    weights = build_majority_graph(profile).weights
+    permuted = build_majority_graph(relabelled).weights
+    for x in range(m):
+        for y in range(m):
+            assert permuted[new[x]][new[y]] == weights[x][y]
