@@ -8,9 +8,7 @@ from .ballots import (
     serialize_election,
 )
 from .engine import (
-    StrengthMatrix,
     is_unique_winner,
-    path_strength_matrix,
     schulze_winners,
     widest_path_strengths,
 )
@@ -28,10 +26,9 @@ from .model import (
     build_majority_graph,
     overlay_identical_manipulators,
 )
-from .oracle import ENUMERATION_LIMIT, brute_force_wcm
+from .oracle import brute_force_wcm
 from .solver import (
     INF,
-    AdmissibleGraph,
     Arborescence,
     BoundFunction,
     ManipulationOutcome,
@@ -47,12 +44,10 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleGraph",
     "Arborescence",
     "BoundFunction",
     "CandidateSet",
     "CapacityError",
-    "ENUMERATION_LIMIT",
     "INF",
     "INT64_MAX",
     "InternalInvariantError",
@@ -62,7 +57,6 @@ __all__ = [
     "Mode",
     "ParseError",
     "Ranking",
-    "StrengthMatrix",
     "WeightedBallot",
     "WeightedProfile",
     "brute_force_wcm",
@@ -76,7 +70,6 @@ __all__ = [
     "overlay_identical_manipulators",
     "parse_election_file",
     "parse_vote",
-    "path_strength_matrix",
     "schulze_winners",
     "serialize_election",
     "solve_wcm",

@@ -89,6 +89,7 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
     candidates: CandidateSet | None = None
     index: dict[str, int] = {}
     ballots: list[WeightedBallot] = []
+    total = 0
     manipulators: tuple[int, ...] | None = None
     manipulators_line: int | None = None
     target: int | None = None
@@ -121,6 +122,11 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
             weight = _parse_weight(match.group(1), "ballot", number)
             ranking = _parse_ranking(match.group(2), index, len(candidates), number)
             ballots.append(WeightedBallot(ranking, weight))
+            total += weight
+            if total > INT64_MAX:
+                raise ParseError(
+                    "total ballot weight exceeds the signed 64-bit cap", number
+                )
         elif line.startswith("manipulators:"):
             if manipulators is not None:
                 raise ParseError("duplicate manipulators line", number)
@@ -150,6 +156,10 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
         raise ParseError("target given without manipulators", target_line)
     if manipulators is not None and target is None:
         raise ParseError("manipulators given without target", manipulators_line)
+    if manipulators is not None and total + sum(manipulators) > INT64_MAX:
+        raise ParseError(
+            "total election weight exceeds the signed 64-bit cap", manipulators_line
+        )
 
     profile = WeightedProfile(candidates, tuple(ballots))
     if manipulators is None:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .ballots import ParseError, format_vote, parse_election_file, parse_vote
-from .engine import path_strength_matrix, schulze_winners
+from .engine import schulze_winners, widest_path_strengths
 from .model import ManipulationInstance, Mode, WeightedProfile, build_majority_graph
 from .oracle import brute_force_wcm
 from .solver import INF, BoundFunction, solve_wcm, verify_manipulation
@@ -58,7 +58,7 @@ def _cmd_winners(args: argparse.Namespace) -> int:
     winners = schulze_winners(graph)
     print("winners: " + " ".join(labels[i] for i in winners))
     if args.strengths:
-        strength = path_strength_matrix(graph).strength
+        strength = widest_path_strengths(graph.weights)
         print("strengths:")
         for x, label in enumerate(labels):
             cells = " ".join(
@@ -123,6 +123,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Schulze winners and weighted coalitional manipulation.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    instance_file = argparse.ArgumentParser(add_help=False)
+    instance_file.add_argument("file", help="election file with manipulators and target")
+    instance_file.add_argument(
+        "--mode", choices=[m.value for m in Mode], default=Mode.UNIQUE.value
+    )
 
     winners = commands.add_parser("winners", help="print the Schulze winner set")
     winners.add_argument("file", help="election file")
@@ -132,29 +137,21 @@ def _build_parser() -> argparse.ArgumentParser:
     winners.set_defaults(func=_cmd_winners)
 
     manipulate = commands.add_parser(
-        "manipulate", help="solve the manipulation instance"
-    )
-    manipulate.add_argument("file", help="election file with manipulators and target")
-    manipulate.add_argument(
-        "--mode", choices=[m.value for m in Mode], default=Mode.UNIQUE.value
+        "manipulate", parents=[instance_file], help="solve the manipulation instance"
     )
     manipulate.add_argument("--json", action="store_true", help="machine readable output")
     manipulate.set_defaults(func=_cmd_manipulate)
 
-    verify = commands.add_parser("verify", help="check a proposed coalition ballot")
-    verify.add_argument("file", help="election file with manipulators and target")
-    verify.add_argument("--vote", required=True, help='ranking such as "c > a > b"')
-    verify.add_argument(
-        "--mode", choices=[m.value for m in Mode], default=Mode.UNIQUE.value
+    verify = commands.add_parser(
+        "verify", parents=[instance_file], help="check a proposed coalition ballot"
     )
+    verify.add_argument("--vote", required=True, help='ranking such as "c > a > b"')
     verify.set_defaults(func=_cmd_verify)
 
     oracle_check = commands.add_parser(
-        "oracle-check", help="cross-check the solver against brute force"
-    )
-    oracle_check.add_argument("file", help="election file with manipulators and target")
-    oracle_check.add_argument(
-        "--mode", choices=[m.value for m in Mode], default=Mode.UNIQUE.value
+        "oracle-check",
+        parents=[instance_file],
+        help="cross-check the solver against brute force",
     )
     oracle_check.add_argument(
         "--identical-only",

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from .model import CandidateSet, InternalInvariantError, MajorityGraph
+from .model import InternalInvariantError, MajorityGraph
 
 
 def widest_path_strengths(weights: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -114,20 +113,6 @@ def widest_from(
             if value > best[z]:
                 best[z] = value
     return best
-
-
-@dataclass(frozen=True)
-class StrengthMatrix:
-    """Pairwise path strengths for a candidate set (diagonal unused)."""
-
-    candidates: CandidateSet
-    strength: tuple[tuple[int, ...], ...]
-
-
-def path_strength_matrix(graph: MajorityGraph) -> StrengthMatrix:
-    """Compute the full strength matrix of a majority graph."""
-    rows = widest_path_strengths(graph.weights)
-    return StrengthMatrix(graph.candidates, tuple(tuple(row) for row in rows))
 
 
 def schulze_winners(graph: MajorityGraph) -> tuple[int, ...]:

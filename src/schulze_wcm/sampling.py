@@ -30,37 +30,25 @@ def random_ranking(rng: random.Random, m: int) -> Ranking:
 
 
 def random_profile(
-    rng: random.Random,
-    m: int,
-    *,
-    ballots: tuple[int, int] = (0, 3),
-    ballot_weights: tuple[int, int] = (1, 3),
+    rng: random.Random, m: int, *, ballots: tuple[int, int] = (0, 3)
 ) -> WeightedProfile:
+    """A count of ballots drawn from `ballots`, each of weight 1-3."""
     candidates = CandidateSet(candidate_labels(m))
     count = rng.randint(*ballots)
     cast = tuple(
-        WeightedBallot(random_ranking(rng, m), rng.randint(*ballot_weights))
-        for _ in range(count)
+        WeightedBallot(random_ranking(rng, m), rng.randint(1, 3)) for _ in range(count)
     )
     return WeightedProfile(candidates, cast)
 
 
-def random_instance(
-    rng: random.Random,
-    *,
-    m_range: tuple[int, int] = (2, 4),
-    ballots: tuple[int, int] = (0, 3),
-    ballot_weights: tuple[int, int] = (1, 3),
-    manipulators: tuple[int, int] = (1, 2),
-    manipulator_weights: tuple[int, int] = (1, 3),
-    mode: Mode = Mode.UNIQUE,
-) -> ManipulationInstance:
-    m = rng.randint(*m_range)
-    profile = random_profile(rng, m, ballots=ballots, ballot_weights=ballot_weights)
-    count = rng.randint(*manipulators)
-    weights = tuple(rng.randint(*manipulator_weights) for _ in range(count))
+def random_instance(rng: random.Random) -> ManipulationInstance:
+    """m in 2-4, 0-3 ballots and 1-2 manipulators of weight 1-3, UNIQUE mode."""
+    m = rng.randint(2, 4)
+    profile = random_profile(rng, m)
+    count = rng.randint(1, 2)
+    weights = tuple(rng.randint(1, 3) for _ in range(count))
     target = rng.randrange(m)
-    return ManipulationInstance(profile, weights, target, mode)
+    return ManipulationInstance(profile, weights, target, Mode.UNIQUE)
 
 
 def random_skew_graph(

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .engine import is_schulze_winner, is_unique_winner, widest_from
 from .engine import schulze_winners  # noqa: F401 - the benchmark tracer wraps it
 from .model import (
-    CandidateSet,
     InternalInvariantError,
     MajorityGraph,
     ManipulationInstance,
@@ -64,26 +63,8 @@ class BoundFunction:
             elif not isinstance(value, int):
                 raise ValueError("non-target bounds must be integers")
 
-    def __getitem__(self, x: int) -> int | float:
-        return self.values[x]
-
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class AdmissibleGraph:
-    """Support edges the coalition may use without violating any bound.
-
-    Edge (x, y) exists when min(bound(x), weight(x, y) + coalition) is at
-    least bound(y). Out-neighbors are stored in ascending index order.
-    """
-
-    candidates: CandidateSet
-    out_edges: tuple[tuple[int, ...], ...]
-
-    def has_edge(self, x: int, y: int) -> bool:
-        return y in self.out_edges[x]
 
 
 @dataclass(frozen=True)
@@ -186,6 +167,14 @@ def compute_bound_function(
             return BoundFunction(tuple(bounds), target, mode), applications
 
 
+def _check_sizes(graph: MajorityGraph, bounds: BoundFunction) -> int:
+    """The candidate count, once the graph and the bounds agree on it."""
+    m = len(bounds)
+    if len(graph.candidates) != m:
+        raise ValueError(f"graph spans {len(graph.candidates)} candidates, bounds {m}")
+    return m
+
+
 def decide_manipulable(
     graph: MajorityGraph, bounds: BoundFunction, coalition_weight: int
 ) -> bool:
@@ -195,7 +184,7 @@ def decide_manipulable(
     target minus the coalition weight; in COWINNER mode matching it is
     enough. A single candidate is always manipulable.
     """
-    m = len(bounds)
+    m = _check_sizes(graph, bounds)
     target = bounds.target
     strict = bounds.mode is Mode.UNIQUE
     for x in range(m):
@@ -210,9 +199,13 @@ def decide_manipulable(
 
 def build_admissible_graph(
     graph: MajorityGraph, bounds: BoundFunction, coalition_weight: int
-) -> AdmissibleGraph:
-    """Collect every edge the coalition may strengthen without breaking a bound."""
-    m = len(bounds)
+) -> tuple[tuple[int, ...], ...]:
+    """Out-neighbour lists of the edges the coalition may use without breaking a bound.
+
+    Edge (x, y) exists when min(bound(x), weight(x, y) + coalition) is at
+    least bound(y). Entry x lists x's out-neighbours in ascending index order.
+    """
+    m = _check_sizes(graph, bounds)
     values = bounds.values
     out: list[tuple[int, ...]] = []
     for x in range(m):
@@ -228,10 +221,12 @@ def build_admissible_graph(
             if strength >= values[y]:
                 hits.append(y)
         out.append(tuple(hits))
-    return AdmissibleGraph(graph.candidates, tuple(out))
+    return tuple(out)
 
 
-def spanning_arborescence(graph: AdmissibleGraph, root: int) -> Arborescence:
+def spanning_arborescence(
+    out_edges: tuple[tuple[int, ...], ...], root: int
+) -> Arborescence:
     """Breadth-first spanning arborescence of the admissible graph.
 
     Neighbors are scanned in ascending index order and the first discovery
@@ -239,14 +234,16 @@ def spanning_arborescence(graph: AdmissibleGraph, root: int) -> Arborescence:
     reachable from the root at a rule fixed point; an unreachable candidate
     therefore signals a bug.
     """
-    m = len(graph.candidates)
+    m = len(out_edges)
+    if not 0 <= root < m:
+        raise ValueError(f"root index {root} out of range for {m} candidates")
     parents: list[int | None] = [None] * m
     seen = [False] * m
     seen[root] = True
     queue = deque([root])
     while queue:
         x = queue.popleft()
-        for y in graph.out_edges[x]:
+        for y in out_edges[x]:
             if not seen[y]:
                 seen[y] = True
                 parents[y] = x

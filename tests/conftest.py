@@ -1,8 +1,8 @@
 """Shared independent checkers used to audit the library's answers.
 
 Everything here recomputes results from first principles (exhaustive path
-enumeration, direct rule checks) so the tests do not lean on the code paths
-they are judging.
+enumeration, the Floyd-Warshall recurrence, direct rule checks) so the tests
+do not lean on the code paths they are judging.
 """
 
 from __future__ import annotations
@@ -38,6 +38,30 @@ def enumerated_strengths(weights) -> list[list]:
     return out
 
 
+def floyd_warshall_strengths(weights) -> list[list]:
+    """Max-min path strengths by the O(m^3) Floyd-Warshall recurrence.
+
+    Polynomial, for matrices too large to enumerate. Diagonal entries carry
+    no meaning.
+    """
+    m = len(weights)
+    out = [list(row) for row in weights]
+    for k in range(m):
+        row_k = out[k]
+        for i in range(m):
+            if i == k:
+                continue
+            row_i = out[i]
+            via = row_i[k]
+            for j in range(m):
+                if j == i or j == k:
+                    continue
+                value = via if via < row_k[j] else row_k[j]
+                if value > row_i[j]:
+                    row_i[j] = value
+    return out
+
+
 def capped_weights(weights, bounds, target: int, coalition_weight: int):
     """Edge matrix min(weight + coalition, bound of the head) as plain ints."""
     m = len(weights)
@@ -54,18 +78,24 @@ def capped_weights(weights, bounds, target: int, coalition_weight: int):
 
 
 def applicable_rule(
-    weights, bounds, target: int, coalition_weight: int, mode: Mode
+    weights,
+    bounds,
+    target: int,
+    coalition_weight: int,
+    mode: Mode,
+    strengths_of=enumerated_strengths,
 ) -> str | None:
     """Search for any applicable lowering rule; None means a true fixed point.
 
-    The path rule check enumerates simple paths outright instead of reusing
-    the solver's single-source computation.
+    The path rule check computes all-pairs strengths with `strengths_of`
+    (simple paths enumerated outright by default) instead of reusing the
+    solver's single-source computation.
     """
     m = len(weights)
     if m == 1:
         return None
     capped = capped_weights(weights, bounds, target, coalition_weight)
-    strengths = enumerated_strengths(capped)
+    strengths = strengths_of(capped)
     for x in range(m):
         if x == target:
             continue

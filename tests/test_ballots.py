@@ -4,9 +4,10 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from schulze_wcm import (
+    INT64_MAX,
     CandidateSet,
     ManipulationInstance,
     Mode,
@@ -18,6 +19,7 @@ from schulze_wcm import (
     parse_vote,
     serialize_election,
 )
+from schulze_wcm.cli import run_cli
 from schulze_wcm.sampling import random_instance, random_profile
 
 DATA = Path(__file__).parent / "data"
@@ -88,6 +90,20 @@ def test_parse_comments_and_blank_lines():
         pytest.param(
             "candidates: a b\nmanipulators: " + "1" * 5000 + "\ntarget: a\n", 2, "64-bit cap",
             id="manipulator-weight-of-5000-digits",
+        ),
+        pytest.param(
+            "candidates: a b\nballot 9223372036854775807: a > b\nballot 1: b > a\n"
+            "ballot 1: a > b\n",
+            3,
+            "total ballot weight exceeds the signed 64-bit cap",
+            id="ballot-total-over-the-cap",
+        ),
+        pytest.param(
+            "candidates: a b\nmanipulators: 2 3\nballot 9223372036854775803: a > b\n"
+            "target: a\n",
+            2,
+            "total election weight exceeds the signed 64-bit cap",
+            id="ballots-plus-coalition-over-the-cap",
         ),
         ("candidates: a b c\nballot 1: a > a > z\n", 2, "ranked twice"),
         ("candidates: a b c\nballot 1: z > a > a\n", 2, "unknown candidate label 'z'"),
@@ -172,3 +188,49 @@ def test_round_trip_is_stable_after_one_hop(rng):
     instance = random_instance(rng)
     once = serialize_election(instance)
     assert serialize_election(parse_election_file(once)) == once
+
+
+# A well-formed file over a, b, c with weights up to the cap, into which up
+# to two noise lines are spliced: odd weights, unknown or malformed labels,
+# short rankings, repeated directives and free text.
+_FUZZ_WEIGHTS = st.one_of(
+    st.integers(1, 3), st.integers(INT64_MAX // 2, INT64_MAX)
+).map(str)
+_FUZZ_LABELS = st.sampled_from(("a", "b", "c", "z", "a*b", ""))
+_FUZZ_NOISE = st.one_of(
+    st.tuples(
+        st.sampled_from(("0", "x", "\u00b2", "9" * 30, str(INT64_MAX + 1), "2")),
+        st.lists(_FUZZ_LABELS, max_size=4),
+    ).map(lambda pair: f"ballot {pair[0]}: " + " > ".join(pair[1])),
+    st.lists(_FUZZ_WEIGHTS, max_size=2).map(lambda ws: "manipulators: " + " ".join(ws)),
+    _FUZZ_LABELS.map(lambda label: "target: " + label),
+    st.lists(_FUZZ_LABELS, max_size=3).map(lambda ls: "candidates: " + " ".join(ls)),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def near_grammar_texts(draw):
+    lines = ["candidates: a b c"]
+    for _ in range(draw(st.integers(0, 4))):
+        order = draw(st.permutations("abc"))
+        lines.append(f"ballot {draw(_FUZZ_WEIGHTS)}: " + " > ".join(order))
+    if draw(st.booleans()):
+        weights = draw(st.lists(_FUZZ_WEIGHTS, min_size=1, max_size=3))
+        lines.append("manipulators: " + " ".join(weights))
+        lines.append("target: " + draw(st.sampled_from("abc")))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_FUZZ_NOISE))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_grammar_texts())
+def test_fuzzed_text_parses_or_raises_parse_error(tmp_path_factory, text):
+    try:
+        parse_election_file(text)
+    except ParseError:
+        pass
+    path = tmp_path_factory.getbasetemp() / "fuzz.elect"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["manipulate", str(path)]) != 1

@@ -15,7 +15,6 @@ from schulze_wcm import (
     WeightedProfile,
     build_majority_graph,
     is_unique_winner,
-    path_strength_matrix,
     schulze_winners,
     widest_path_strengths,
 )
@@ -64,7 +63,7 @@ def arbitrary_matrices(draw, max_m=5, magnitude=5):
 def test_detour_beats_direct_edge():
     # w(a,b)=4, w(b,c)=2, w(a,c)=-2: the a->b->c detour carries strength 2.
     graph = skew(("a", "b", "c"), [4, -2, 2])
-    strength = path_strength_matrix(graph).strength
+    strength = widest_path_strengths(graph.weights)
     assert strength[0][2] == 2
     assert strength[0][1] == 4
     assert strength[1][2] == 2
@@ -72,14 +71,14 @@ def test_detour_beats_direct_edge():
 
 def test_strengths_on_two_candidates():
     graph = skew(("a", "b"), [3])
-    strength = path_strength_matrix(graph).strength
+    strength = widest_path_strengths(graph.weights)
     assert strength[0][1] == 3 and strength[1][0] == -3
 
 
 def test_strengths_single_candidate_trivial():
     graph = MajorityGraph(CandidateSet(("a",)), ((0,),))
-    matrix = path_strength_matrix(graph)
-    assert len(matrix.strength) == 1  # no off-diagonal entries exist
+    matrix = widest_path_strengths(graph.weights)
+    assert len(matrix) == 1  # no off-diagonal entries exist
 
 
 def test_widest_path_accepts_non_skew_matrices():
@@ -134,7 +133,7 @@ def test_strengths_and_winners_match_oracle_on_large_graphs(m):
         for parity in (0, 1):
             graph = random_skew_graph(rng, m, magnitude=magnitude, parity=parity)
             want = oracle_strengths([list(row) for row in graph.weights])
-            got = path_strength_matrix(graph).strength
+            got = widest_path_strengths(graph.weights)
             assert off_diagonal(got) == off_diagonal(want)
             assert schulze_winners(graph) == oracle_winners(graph.weights)
 
@@ -225,7 +224,7 @@ def test_widest_from_checks_range():
 @given(skew_graphs())
 def test_strength_dominates_direct_edge_and_is_stable(graph):
     m = len(graph.candidates)
-    strength = path_strength_matrix(graph).strength
+    strength = widest_path_strengths(graph.weights)
     for x in range(m):
         for y in range(m):
             if x == y:
