@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -144,17 +145,16 @@ def compute_bound_function(
         before = applications
         support = widest_from(weights, target, coalition_weight, bounds)
         # One run saturates: a path through head h has bottleneck <= support[h].
-        for x in range(m):
-            if x != target and support[x] < bounds[x]:
-                bounds[x] = support[x]
-                applications += 1
+        # The kernel caps each entry at its current bound, so the vector is
+        # already the lowered one.
+        support[target] = INF
+        applications += sum(map(operator.lt, support, bounds))
+        bounds = support
         for x in range(m):
             if x == target:
                 continue
-            for y in range(m):
-                if y == x or y == target:
-                    continue
-                bound_y = bounds[y]
+            # The skip rejects y == x (equal bounds) and the target (INF).
+            for y, bound_y in enumerate(bounds):
                 if bound_y >= bounds[x]:
                     continue
                 edge = weights[y][x] - coalition_weight
@@ -184,14 +184,12 @@ def decide_manipulable(
     target minus the coalition weight; in COWINNER mode matching it is
     enough. A single candidate is always manipulable.
     """
-    m = _check_sizes(graph, bounds)
+    _check_sizes(graph, bounds)
     target = bounds.target
     strict = bounds.mode is Mode.UNIQUE
-    for x in range(m):
-        if x == target:
-            continue
-        threshold = graph.weights[x][target] - coalition_weight
-        value = bounds.values[x]
+    # The target's INF bound passes its own test against any finite threshold.
+    for row, value in zip(graph.weights, bounds.values):
+        threshold = row[target] - coalition_weight
         if value < threshold or (value == threshold and strict):
             return False
     return True
@@ -269,6 +267,8 @@ def construct_manipulator_vote(tree: Arborescence, bounds: BoundFunction) -> Ran
     m = len(bounds)
     if len(tree.parents) != m:
         raise ValueError(f"tree spans {len(tree.parents)} candidates, bounds {m}")
+    if tree.root != bounds.target:
+        raise ValueError(f"tree is rooted at {tree.root}, bounds target {bounds.target}")
     values = bounds.values
     children: list[list[int]] = [[] for _ in range(m)]
     for child, parent in enumerate(tree.parents):
@@ -277,16 +277,18 @@ def construct_manipulator_vote(tree: Arborescence, bounds: BoundFunction) -> Ran
                 raise InternalInvariantError("tree edge ascends the bound function")
             children[parent].append(child)
 
-    order = []
+    ranks = [0] * m
+    rank = m
     ready = [(-values[tree.root], tree.root)]
     while ready:
         _, x = heapq.heappop(ready)
-        order.append(x)
+        ranks[x] = rank
+        rank -= 1
         for child in children[x]:
             heapq.heappush(ready, (-values[child], child))
-    if len(order) != m:
+    if rank:
         raise InternalInvariantError("cyclic ranking constraints")
-    return Ranking.from_order(order)
+    return Ranking(tuple(ranks))
 
 
 def _reaches_goal(graph: MajorityGraph, target: int, mode: Mode) -> bool:

@@ -111,6 +111,11 @@ def test_parse_comments_and_blank_lines():
         ("candidates: a b c\nballot 1: a >\n", 2, "empty entry"),
         ("candidates: a b\nballot 1: a > b > a\n", 2, "ranked twice"),
         ("candidates: a a b*c\n", 1, "malformed label 'b*c'"),
+        ("candidates: a b\nballot: a > b\n", 2, "malformed ballot line"),
+        ("candidates: a b\nballots 1: a > b\n", 2, "malformed ballot line"),
+        ("candidates: a b\nmanipulators: 1\ntarget: a\ntarget: b\n", 4, "duplicate target line"),
+        ("candidates: a b\nmanipulators: 1\ntarget: a b\n", 3, "must name exactly one candidate"),
+        ("candidates: a b\nmanipulators: 1\ntarget:\n", 3, "must name exactly one candidate"),
     ],
 )
 def test_parse_diagnostics_carry_line_numbers(text, line, fragment):

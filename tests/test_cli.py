@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from schulze_wcm import InternalInvariantError, cli
 from schulze_wcm.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
@@ -165,6 +166,25 @@ def test_usage_error_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_oracle_disagreement_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "brute_force_wcm", lambda *args, **kwargs: (False, None))
+    code, out, err = run(capsys, "oracle-check", TWO)
+    assert code == 4
+    assert out.endswith("oracle: NOT MANIPULABLE\nMISMATCH\n")
+    assert err == ""
+
+
+def test_internal_error_exits_1(monkeypatch, capsys):
+    def broken(instance):
+        raise InternalInvariantError("boom")
+
+    monkeypatch.setattr(cli, "solve_wcm", broken)
+    code, out, err = run(capsys, "manipulate", TWO)
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: boom\n"
 
 
 @pytest.mark.parametrize(

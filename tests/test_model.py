@@ -186,6 +186,8 @@ def test_majority_graph_validation():
         MajorityGraph(CandidateSet(("a", "b")), ((1, 0), (0, 0)))
     with pytest.raises(ValueError):
         MajorityGraph(CandidateSet(("a", "b")), ((0, 1), (1, 0)))
+    with pytest.raises(CapacityError):
+        MajorityGraph(CandidateSet(("a", "b")), ((0, 2**63), (-(2**63), 0)))
 
 
 def test_build_majority_graph_single_ballot():
@@ -292,6 +294,9 @@ def test_graph_at_the_weight_cap():
             overlay_identical_manipulators(graph, against, weight)
         assert type(info.value) is CapacityError
         assert "pairwise weight exceeds the signed 64-bit cap" in str(info.value)
+    # One more vote for a on the INT64_MAX edge: only the graph's own entry check sees it.
+    with pytest.raises(CapacityError, match="pairwise weight exceeds the signed 64-bit cap"):
+        overlay_identical_manipulators(graph, Ranking.from_order([0, 1]), 1)
 
 
 @given(profiles(), st.randoms(use_true_random=False))

@@ -318,6 +318,32 @@ def test_vote_rejects_tree_of_another_size(parents):
         construct_manipulator_vote(Arborescence(0, parents), bounds)
 
 
+@pytest.mark.parametrize(
+    "tree", [Arborescence(1, (1, None, 1)), Arborescence(2, (2, 2, None))]
+)
+def test_vote_rejects_tree_rooted_off_the_target(tree):
+    bounds = BoundFunction((INF, 3, 3), 0, Mode.UNIQUE)
+    with pytest.raises(ValueError, match="rooted at"):
+        construct_manipulator_vote(tree, bounds)
+
+
+@pytest.mark.parametrize("mode", [Mode.UNIQUE, Mode.COWINNER])
+def test_vote_is_written_as_ranks(monkeypatch, mode):
+    # The heap pass pops each candidate once; it must not hand the order to
+    # Ranking.from_order to be proved again.
+    profile = WeightedProfile(CXY, (ballot([0, 1, 2], 1),))
+    instance = ManipulationInstance(profile, (2,), 0, mode)
+    expected = solve_wcm(instance)
+
+    def refuse(order):
+        raise AssertionError("Ranking.from_order called")
+
+    monkeypatch.setattr(Ranking, "from_order", refuse)
+    outcome = solve_wcm(instance)
+    assert outcome.decision and outcome.vote is not None
+    assert outcome == expected
+
+
 def test_vote_rejects_cycle_detached_from_root():
     tree = Arborescence(0, (None, 2, 1))  # x and y parent each other
     bounds = BoundFunction((INF, 5, 5), 0, Mode.UNIQUE)
@@ -586,6 +612,65 @@ def test_hypothesis_instances_agree_with_oracle(data):
     outcome = solve_wcm(instance)
     expected, _ = brute_force_wcm(instance)
     assert outcome.decision == expected
+
+
+def regime_instances(regime, count, seed):
+    """Instances at m = 2-4 in one hard regime, each posed in both modes.
+
+    "even-ties": even weights, each ranking often joined by its reverse, so
+    many margins are zero; "heavy-coalition": the coalition outweighs every
+    honest voter together; "near-cap": every weight within 2 of 2**60.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(2, 4)
+        target = rng.randrange(m)
+        coalition = rng.randint(1, 2)
+        ballots = []
+        for _ in range(rng.randint(0, 3)):
+            ranks = tuple(rng.sample(range(1, m + 1), m))
+            if regime == "near-cap":
+                ballots.append(WeightedBallot(Ranking(ranks), 2**60 + rng.randint(-2, 2)))
+                continue
+            weight = 2 * rng.randint(1, 2) if regime == "even-ties" else rng.randint(1, 3)
+            ballots.append(WeightedBallot(Ranking(ranks), weight))
+            if regime == "even-ties" and rng.random() < 0.5:
+                reverse = tuple(m + 1 - rank for rank in ranks)
+                ballots.append(WeightedBallot(Ranking(reverse), weight))
+        if regime == "even-ties":
+            weights = tuple(2 * rng.randint(1, 2) for _ in range(coalition))
+        elif regime == "heavy-coalition":
+            honest = sum(b.weight for b in ballots)
+            weights = tuple(
+                rng.randint(honest // coalition + 1, honest + 3) for _ in range(coalition)
+            )
+        else:
+            weights = tuple(2**60 + rng.randint(-2, 2) for _ in range(coalition))
+        profile = WeightedProfile(CandidateSet(tuple("abcd"[:m])), tuple(ballots))
+        for mode in Mode:
+            yield ManipulationInstance(profile, weights, target, mode)
+
+
+# The coalition that outweighs everyone ranks the target first and beats
+# every rival head to head, so that regime only has yes answers.
+@pytest.mark.parametrize(
+    "regime, answers",
+    [
+        ("even-ties", {False, True}),
+        ("heavy-coalition", {True}),
+        ("near-cap", {False, True}),
+    ],
+    ids=["even-ties", "heavy-coalition", "near-cap"],
+)
+def test_hard_regimes_agree_with_oracle(regime, answers):
+    decisions = set()
+    for instance in regime_instances(regime, 100, seed=5):
+        outcome = solve_wcm(instance)
+        assert outcome.decision == brute_force_wcm(instance)[0]
+        if outcome.decision:
+            assert verify_manipulation(instance, outcome.vote)
+        decisions.add(outcome.decision)
+    assert decisions == answers
 
 
 # ------------------------------------------------------ metamorphic properties
