@@ -29,7 +29,6 @@ from .model import (
 from .oracle import brute_force_wcm
 from .solver import (
     INF,
-    Arborescence,
     BoundFunction,
     ManipulationOutcome,
     build_admissible_graph,
@@ -44,7 +43,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arborescence",
     "BoundFunction",
     "CandidateSet",
     "CapacityError",

@@ -100,12 +100,6 @@ class CandidateSet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown candidate label {label!r}") from None
-
 
 @dataclass(frozen=True)
 class Ranking:
@@ -143,10 +137,6 @@ class Ranking:
     def order(self) -> tuple[int, ...]:
         """Candidate indices, most preferred first."""
         return tuple(sorted(range(len(self.ranks)), key=lambda i: -self.ranks[i]))
-
-    def prefers(self, x: int, y: int) -> bool:
-        """True when candidate x is ranked above candidate y."""
-        return self.ranks[x] > self.ranks[y]
 
     def __len__(self) -> int:
         return len(self.ranks)

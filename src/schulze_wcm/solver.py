@@ -69,28 +69,6 @@ class BoundFunction:
 
 
 @dataclass(frozen=True)
-class Arborescence:
-    """Spanning tree of the admissible graph, directed away from the root."""
-
-    root: int
-    parents: tuple[int | None, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parents", tuple(self.parents))
-        m = len(self.parents)
-        if not 0 <= self.root < m:
-            raise ValueError(f"root index {self.root} out of range")
-        if self.parents[self.root] is not None:
-            raise ValueError("the root must have no parent")
-        for child, parent in enumerate(self.parents):
-            if parent is None:
-                if child != self.root:
-                    raise ValueError(f"candidate {child} has no parent")
-            elif not 0 <= parent < m:
-                raise ValueError(f"parent index {parent} out of range")
-
-
-@dataclass(frozen=True)
 class ManipulationOutcome:
     """Decision, optional coalition ballot, and the certificate behind them."""
 
@@ -224,9 +202,10 @@ def build_admissible_graph(
 
 def spanning_arborescence(
     out_edges: tuple[tuple[int, ...], ...], root: int
-) -> Arborescence:
-    """Breadth-first spanning arborescence of the admissible graph.
+) -> tuple[int | None, ...]:
+    """Breadth-first spanning arborescence of the admissible graph, as parents.
 
+    Entry x is x's parent in the tree, and the root's entry is None.
     Neighbors are scanned in ascending index order and the first discovery
     fixes the parent, so the result is deterministic. Every candidate is
     reachable from the root at a rule fixed point; an unreachable candidate
@@ -251,43 +230,52 @@ def spanning_arborescence(
         raise InternalInvariantError(
             f"candidates {missing} unreachable in the admissible graph"
         )
-    return Arborescence(root, tuple(parents))
+    return tuple(parents)
 
 
-def construct_manipulator_vote(tree: Arborescence, bounds: BoundFunction) -> Ranking:
-    """Fold the arborescence and the bound order into one coalition ballot.
+def construct_manipulator_vote(
+    parents: tuple[int | None, ...], bounds: BoundFunction
+) -> Ranking:
+    """Fold a spanning tree and the bound order into one coalition ballot.
 
-    The ballot must rank x above y whenever (x, y) is a tree edge or x has
-    the strictly larger bound. It is built in one heap pass from the root:
-    pop the ready candidate with the largest bound, smallest index first,
-    and make its tree children ready. A parent's bound is never below its
-    child's, so candidates come out in descending bound order, the target
-    first, with tree edges obeyed and remaining ties broken by index.
+    parents[x] is x's parent in a tree rooted at the target, whose own entry
+    is None. The ballot must rank x above y whenever (x, y) is a tree edge or
+    x has the strictly larger bound. It is built in one heap pass from the
+    target: pop the ready candidate with the largest bound, smallest index
+    first, and make its tree children ready. A parent's bound is never below
+    its child's, so candidates come out in descending bound order, the target
+    first, with tree edges obeyed and remaining ties broken by index. A
+    malformed tree raises ValueError.
     """
     m = len(bounds)
-    if len(tree.parents) != m:
-        raise ValueError(f"tree spans {len(tree.parents)} candidates, bounds {m}")
-    if tree.root != bounds.target:
-        raise ValueError(f"tree is rooted at {tree.root}, bounds target {bounds.target}")
+    target = bounds.target
+    if len(parents) != m:
+        raise ValueError(f"tree spans {len(parents)} candidates, bounds {m}")
+    if parents[target] is not None:
+        raise ValueError(f"tree is not rooted at the target {target}")
     values = bounds.values
     children: list[list[int]] = [[] for _ in range(m)]
-    for child, parent in enumerate(tree.parents):
+    for child, parent in enumerate(parents):
         if parent is not None:
+            if not 0 <= parent < m:
+                raise ValueError(f"parent index {parent} out of range")
             if values[parent] < values[child]:
-                raise InternalInvariantError("tree edge ascends the bound function")
+                raise ValueError("tree edge ascends the bound function")
             children[parent].append(child)
 
     ranks = [0] * m
     rank = m
-    ready = [(-values[tree.root], tree.root)]
+    ready = [(-values[target], target)]
     while ready:
         _, x = heapq.heappop(ready)
         ranks[x] = rank
         rank -= 1
         for child in children[x]:
             heapq.heappush(ready, (-values[child], child))
+    # Every other candidate has one parent, so one left unranked hangs under a
+    # missing parent or on a parent cycle detached from the target.
     if rank:
-        raise InternalInvariantError("cyclic ranking constraints")
+        raise ValueError("tree does not span the candidates from the target")
     return Ranking(tuple(ranks))
 
 
@@ -346,8 +334,8 @@ def solve_wcm(instance: ManipulationInstance) -> ManipulationOutcome:
     vote: Ranking | None = None
     if decision:
         admissible = build_admissible_graph(graph, bounds, coalition_weight)
-        tree = spanning_arborescence(admissible, target)
-        vote = construct_manipulator_vote(tree, bounds)
+        parents = spanning_arborescence(admissible, target)
+        vote = construct_manipulator_vote(parents, bounds)
         final = overlay_identical_manipulators(graph, vote, coalition_weight)
         if not _reaches_goal(final, target, mode):
             raise InternalInvariantError(

@@ -104,7 +104,6 @@ def test_ranking_roundtrip():
     r = Ranking.from_order([2, 0, 1])
     assert r.ranks == (2, 1, 3)
     assert r.order() == (2, 0, 1)
-    assert r.prefers(2, 0) and r.prefers(0, 1) and not r.prefers(1, 2)
 
 
 def test_ranking_rejects_non_bijection():
@@ -132,9 +131,6 @@ def test_candidate_set_validation():
         CandidateSet(("a", ""))
     with pytest.raises(ValueError, match="non-empty strings"):
         CandidateSet((1, 2))
-    assert ABC.index("b") == 1
-    with pytest.raises(ValueError):
-        ABC.index("z")
 
 
 def test_ballot_and_profile_validation():
