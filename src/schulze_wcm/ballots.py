@@ -15,6 +15,11 @@ must precede ballot and target lines. A file carrying both a manipulators
 and a target line parses to a ManipulationInstance (in UNIQUE mode by
 default), a file carrying neither parses to a WeightedProfile, and anything
 in between is rejected.
+
+A ranking written with the canonical ' > ' separator, as serialize_election
+and format_vote write it, is accepted in bulk with one label-map pass. Any
+other ranking text, and canonical text that misses or repeats a candidate,
+falls back to the diagnosing loop, which reports the first fault in order.
 """
 
 from __future__ import annotations
@@ -58,6 +63,16 @@ def _parse_weight(token: str, what: str, line: int) -> int:
 def _parse_ranking(
     text: str, index: dict[str, int], m: int, line: int | None = None
 ) -> Ranking:
+    # Accept path for the canonical separator. A label in the map holds no
+    # whitespace and no '>', so accepted text is exactly " > ".join(labels),
+    # which the loop below accepts with the same ranks; a repeat leaves a 0.
+    ids = list(map(index.get, text.split(" > ")))
+    if len(ids) == m and None not in ids:
+        ranks = [0] * m
+        for rank, candidate in zip(range(m, 0, -1), ids):
+            ranks[candidate] = rank
+        if 0 not in ranks:
+            return Ranking(tuple(ranks))
     parts = [part.strip() for part in text.split(">")]
     if any(not part for part in parts):
         raise ParseError("empty entry in ranking", line)
@@ -120,7 +135,7 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
             if candidates is None:
                 raise ParseError("candidates line must precede ballots", number)
             weight = _parse_weight(match.group(1), "ballot", number)
-            ranking = _parse_ranking(match.group(2), index, len(candidates), number)
+            ranking = _parse_ranking(match.group(2), index, len(index), number)
             ballots.append(WeightedBallot(ranking, weight))
             total += weight
             if total > INT64_MAX:

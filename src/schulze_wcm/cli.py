@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -117,6 +118,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     return EXIT_MISMATCH
 
 
+# Built once per process; parse_args keeps no state between calls.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schulze-wcm",

@@ -257,6 +257,8 @@ def construct_manipulator_vote(
     children: list[list[int]] = [[] for _ in range(m)]
     for child, parent in enumerate(parents):
         if parent is not None:
+            if not isinstance(parent, int):
+                raise ValueError(f"parent index must be an int, got {parent!r}")
             if not 0 <= parent < m:
                 raise ValueError(f"parent index {parent} out of range")
             if values[parent] < values[child]:

@@ -19,6 +19,7 @@ from schulze_wcm import (
     parse_vote,
     serialize_election,
 )
+from schulze_wcm import ballots
 from schulze_wcm.cli import run_cli
 from schulze_wcm.sampling import random_instance, random_profile
 
@@ -202,11 +203,14 @@ _FUZZ_WEIGHTS = st.one_of(
     st.integers(1, 3), st.integers(INT64_MAX // 2, INT64_MAX)
 ).map(str)
 _FUZZ_LABELS = st.sampled_from(("a", "b", "c", "z", "a*b", ""))
+# The canonical separator first; the others always take the diagnosing loop.
+_SEPARATORS = (" > ", ">", "  >\t", " >  ")
 _FUZZ_NOISE = st.one_of(
     st.tuples(
         st.sampled_from(("0", "x", "\u00b2", "9" * 30, str(INT64_MAX + 1), "2")),
         st.lists(_FUZZ_LABELS, max_size=4),
-    ).map(lambda pair: f"ballot {pair[0]}: " + " > ".join(pair[1])),
+        st.sampled_from(_SEPARATORS),
+    ).map(lambda noise: f"ballot {noise[0]}: " + noise[2].join(noise[1])),
     st.lists(_FUZZ_WEIGHTS, max_size=2).map(lambda ws: "manipulators: " + " ".join(ws)),
     _FUZZ_LABELS.map(lambda label: "target: " + label),
     st.lists(_FUZZ_LABELS, max_size=3).map(lambda ls: "candidates: " + " ".join(ls)),
@@ -239,3 +243,47 @@ def test_fuzzed_text_parses_or_raises_parse_error(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.elect"
     path.write_text(text, encoding="utf-8")
     assert run_cli(["manipulate", str(path)]) != 1
+
+
+def _outcome(parse, *args):
+    """The parse result, or the diagnostic's text and line."""
+    try:
+        return parse(*args)
+    except ParseError as error:
+        return str(error), error.line
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.permutations("abcd"),
+        st.lists(_FUZZ_LABELS | st.sampled_from("abcd"), max_size=7),
+    )
+)
+def test_canonical_accept_path_matches_the_diagnosing_loop(tokens):
+    index = {label: i for i, label in enumerate("abcd")}
+    expected = None
+    for separator in _SEPARATORS:
+        text = separator.join(tokens)
+        outcome = (
+            _outcome(ballots._parse_ranking, text, index, 4, 2),
+            _outcome(parse_election_file, f"candidates: a b c d\nballot 1: {text}\n"),
+        )
+        if expected is None:
+            expected = outcome
+        assert outcome == expected, (separator, tokens)
+
+
+def test_canonical_profile_takes_the_accept_path(monkeypatch):
+    profile = random_profile(random.Random(11), 30, ballots=(1500, 1500))
+    text = serialize_election(profile)
+    expected = parse_election_file(text)
+
+    def refuse(label, index, line):
+        raise AssertionError("diagnosing loop ran on canonical text")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ballots, "_lookup", refuse)
+        assert parse_election_file(text) == expected
+    assert expected == profile
+    assert parse_election_file(text.replace(" > ", ">")) == expected

@@ -206,6 +206,21 @@ def test_module_entry_point(name, code, stdout):
     assert (result.returncode, result.stdout) == (code, stdout)
 
 
+def test_cached_parser_carries_no_state_between_calls(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    tied = str(DATA / "tied.elect")
+    assert run(capsys, "manipulate", tied, "--mode", "cowinner")[0] == 0
+    assert run(capsys, "manipulate", tied) == (
+        3, "NOT MANIPULABLE\nU: a=0 c=inf\n", ""
+    )
+    assert run(capsys, "winners", TRIVIAL, "--strengths")[0] == 0
+    assert run(capsys, "winners", TRIVIAL) == (0, "winners: a\n", "")
+    assert run(capsys, "manipulate", TWO, "--mode", "bogus")[0] == 2
+    assert run(capsys, "manipulate", TWO) == (
+        0, "MANIPULABLE\nvote: c > a\nU: a=1 c=inf\n", ""
+    )
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "manipulate", TWO, "--json")
     second = run(capsys, "manipulate", TWO, "--json")

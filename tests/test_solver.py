@@ -276,8 +276,16 @@ def test_arborescence_rejects_root_out_of_range(root):
         ((None, None), "does not span"),
         ((None, 5), "out of range"),
         ((None, -1), "out of range"),
+        ((None, 0.0), "must be an int"),
     ],
-    ids=["target-has-parent", "no-root", "missing-parent", "parent-too-large", "negative-parent"],
+    ids=[
+        "target-has-parent",
+        "no-root",
+        "missing-parent",
+        "parent-too-large",
+        "negative-parent",
+        "float-parent",
+    ],
 )
 def test_vote_rejects_malformed_tree(parents, message):
     bounds = BoundFunction((INF, 1), 0, Mode.UNIQUE)
