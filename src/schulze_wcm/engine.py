@@ -88,6 +88,8 @@ def widest_from(
     O(m^2).
     """
     m = len(weights)
+    if not isinstance(source, int):
+        raise ValueError(f"source index must be an int, got {source!r}")
     if not 0 <= source < m:
         raise ValueError(f"source index {source} out of range")
     if caps is None:
@@ -105,13 +107,14 @@ def widest_from(
         row = weights[pick]
         for z in todo:
             value = row[z] + offset
-            if value > limit:
-                value = limit
-            cap = caps[z]
-            if value > cap:
-                value = cap
+            # min(value, limit, caps[z]) cannot beat best[z] unless value does.
             if value > best[z]:
-                best[z] = value
+                if value > limit:
+                    value = limit
+                if value > caps[z]:
+                    value = caps[z]
+                if value > best[z]:
+                    best[z] = value
     return best
 
 

@@ -9,15 +9,17 @@ though Python integers themselves never overflow.
 `_margins` tallies the matrix in one of two exact layouts and writes entry
 (x, y) as 2 * count - total, where count is the weight ranking x above y.
 
-Rows: one packed integer per candidate. Each ballot is walked from its last
-candidate up: packed[x] gains weight * below, where below has bit 64 * y set
-for every y already passed, so field y of packed[x] ends up holding the
-weight ranking x above y. One struct unpack per row reads the fields back.
-No field can carry into its neighbour: a field holds at most the total
-weight, which profiles cap at 2**63 - 1. Only an overlay can bring a larger
-total, and a total of 2**64 or more raises CapacityError before either
-layout runs; with two or more candidates such a coalition would break the
-cap on every pair anyway. This costs about m big-int steps per ballot.
+Rows: one packed integer per candidate, one F-bit field per candidate, with
+F = 8, 16, 32 or 64 the narrowest width whose range holds the total weight.
+Each ballot is walked from its last candidate up: packed[x] gains weight *
+below, where below has bit F * y set for every y already passed, so field y
+of packed[x] ends up holding the weight ranking x above y. One struct unpack
+per row reads the fields back. No field can carry into its neighbour: a
+field holds at most the total weight, which fits in F bits. Profiles cap
+the total at 2**63 - 1; only an overlay can bring a larger one, and a total
+of 2**64 or more raises CapacityError before either layout runs; with two
+or more candidates such a coalition would break the cap on every pair
+anyway. This costs about m big-int steps per ballot, on ints of m * F bits.
 
 Lanes: one packed integer per candidate holding its rank on every ballot,
 one L-bit lane per ballot, with L = 8, 16 or 32 chosen so that the rank m
@@ -39,7 +41,9 @@ lane compare spends fewer bits per ballot on the pair {x, y} than the row
 layout's two 64-bit fields (x, y) and (y, x) do, and when n >= 12 *
 (planes + 1), so that there are enough ballots to pay for each per-pair
 step (`_LANE_BALLOTS_PER_STEP`). Both conditions read only n, m and the
-largest weight.
+largest weight. The rule was calibrated against 64-bit row fields; narrower
+fields make rows cheaper, so near the crossover it may pick lanes where
+rows are now faster.
 """
 
 from __future__ import annotations
@@ -259,21 +263,30 @@ def _margins(m: int, ballots: Sequence[tuple[tuple[int, ...], int]]) -> list[lis
     return _row_margins(m, ballots, total)
 
 
+def _field_code(total: int) -> str:
+    """Struct code of the narrowest row field whose range holds total."""
+    if total < 1 << 16:
+        return "B" if total < 1 << 8 else "H"
+    return "I" if total < 1 << 32 else "Q"
+
+
 def _row_margins(
     m: int, ballots: Sequence[tuple[tuple[int, ...], int]], total: int
 ) -> list[list[int]]:
-    """The row layout: one packed row of 64-bit fields per candidate."""
-    bits = [1 << (64 * x) for x in range(m)]
+    """The row layout: one packed row per candidate, fields sized to the total."""
+    code = _field_code(total)
+    size = struct.calcsize(code)
+    bits = [1 << (8 * size * x) for x in range(m)]
     packed = [0] * m
     for ranks, weight in ballots:
         below = 0
         for x in sorted(range(m), key=ranks.__getitem__):
             packed[x] += weight * below
             below |= bits[x]
-    layout = f"<{m}Q"
+    layout = f"<{m}{code}"
     rows = []
     for x in range(m):
-        counts = struct.unpack(layout, packed[x].to_bytes(8 * m, "little"))
+        counts = struct.unpack(layout, packed[x].to_bytes(size * m, "little"))
         row = [count + count - total for count in counts]
         row[x] = 0
         rows.append(row)

@@ -53,6 +53,8 @@ class BoundFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
+        if not isinstance(self.target, int):
+            raise ValueError(f"target index must be an int, got {self.target!r}")
         if not 0 <= self.target < len(self.values):
             raise ValueError(f"target index {self.target} out of range")
         if not isinstance(self.mode, Mode):
@@ -98,12 +100,18 @@ def compute_bound_function(
     saturates the path rule (the batch assigns exactly the values the rule
     would assign one at a time in decreasing order); the scan then visits
     rival pairs in lexicographic order for the transfer rule. Sweeps repeat
-    until one changes nothing. Returns the fixed point and the number of
-    individual rule applications.
+    until a transfer scan lowers nothing: the kernel's output is then the
+    bound vector, and a kernel run capped at its own output returns it
+    unchanged, so another sweep could lower nothing either. Returns the fixed
+    point and the number of individual rule applications.
     """
     m = len(graph.candidates)
+    if not isinstance(target, int):
+        raise ValueError(f"target index must be an int, got {target!r}")
     if not 0 <= target < m:
         raise ValueError(f"target index {target} out of range")
+    if not isinstance(coalition_weight, int):
+        raise ValueError(f"coalition weight must be an int, got {coalition_weight!r}")
     if coalition_weight < 0:
         raise ValueError("coalition weight must be >= 0")
 
@@ -120,7 +128,6 @@ def compute_bound_function(
     strict_transfer = mode is not Mode.UNIQUE
 
     while True:
-        before = applications
         support = widest_from(weights, target, coalition_weight, bounds)
         # One run saturates: a path through head h has bottleneck <= support[h].
         # The kernel caps each entry at its current bound, so the vector is
@@ -128,6 +135,7 @@ def compute_bound_function(
         support[target] = INF
         applications += sum(map(operator.lt, support, bounds))
         bounds = support
+        before = applications
         for x in range(m):
             if x == target:
                 continue
@@ -212,6 +220,8 @@ def spanning_arborescence(
     therefore signals a bug.
     """
     m = len(out_edges)
+    if not isinstance(root, int):
+        raise ValueError(f"root index must be an int, got {root!r}")
     if not 0 <= root < m:
         raise ValueError(f"root index {root} out of range for {m} candidates")
     parents: list[int | None] = [None] * m

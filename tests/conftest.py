@@ -1,16 +1,42 @@
 """Shared independent checkers used to audit the library's answers.
 
-Everything here recomputes results from first principles (exhaustive path
+The checkers recompute results from first principles (exhaustive path
 enumeration, the Floyd-Warshall recurrence, direct rule checks) so the tests
-do not lean on the code paths they are judging.
+do not lean on the code paths they are judging. The skew-symmetric graph
+builder and its strategy are shared test inputs.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from schulze_wcm.model import Mode
+from hypothesis import strategies as st
+
+from schulze_wcm.model import CandidateSet, MajorityGraph, Mode
 from schulze_wcm.solver import INF
+
+
+def skew(labels, upper):
+    """Build a MajorityGraph from the strict upper triangle."""
+    m = len(labels)
+    rows = [[0] * m for _ in range(m)]
+    index = 0
+    for x in range(m):
+        for y in range(x + 1, m):
+            rows[x][y] = upper[index]
+            rows[y][x] = -upper[index]
+            index += 1
+    return MajorityGraph(CandidateSet(labels), tuple(tuple(r) for r in rows))
+
+
+@st.composite
+def skew_graphs(draw, min_m=1, max_m=5, magnitude=5):
+    m = draw(st.integers(min_m, max_m))
+    upper = [
+        draw(st.integers(-magnitude, magnitude))
+        for _ in range(m * (m - 1) // 2)
+    ]
+    return skew(tuple("abcdefgh"[:m]), upper)
 
 
 def enumerated_strengths(weights) -> list[list]:

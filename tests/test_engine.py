@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import enumerated_strengths
+from conftest import enumerated_strengths, skew, skew_graphs
 from schulze_wcm import (
     INT64_MAX,
     CandidateSet,
@@ -23,29 +23,6 @@ from schulze_wcm.oracle import _strengths as oracle_strengths
 from schulze_wcm.sampling import random_skew_graph
 
 ABC = CandidateSet(("a", "b", "c"))
-
-
-def skew(labels, upper):
-    """Build a MajorityGraph from the strict upper triangle."""
-    m = len(labels)
-    rows = [[0] * m for _ in range(m)]
-    index = 0
-    for x in range(m):
-        for y in range(x + 1, m):
-            rows[x][y] = upper[index]
-            rows[y][x] = -upper[index]
-            index += 1
-    return MajorityGraph(CandidateSet(labels), tuple(tuple(r) for r in rows))
-
-
-@st.composite
-def skew_graphs(draw, min_m=1, max_m=5, magnitude=5):
-    m = draw(st.integers(min_m, max_m))
-    upper = [
-        draw(st.integers(-magnitude, magnitude))
-        for _ in range(m * (m - 1) // 2)
-    ]
-    return skew(tuple("abcdefgh"[:m]), upper)
 
 
 @st.composite
@@ -219,6 +196,8 @@ def test_widest_from_checks_range():
         widest_from([[0, 1], [-1, 0]], 2)
     with pytest.raises(ValueError):
         widest_from([[0, 1], [-1, 0]], -1)
+    with pytest.raises(ValueError, match="must be an int"):
+        widest_from([[0, 1], [-1, 0]], 1.0)
 
 
 @given(skew_graphs())
@@ -270,6 +249,8 @@ def test_is_unique_winner_checks_range():
     graph = skew(("a", "b"), [1])
     with pytest.raises(ValueError):
         is_unique_winner(graph, 2)
+    with pytest.raises(ValueError, match="must be an int"):
+        is_unique_winner(graph, 1.0)
 
 
 def test_is_schulze_winner_checks_range():

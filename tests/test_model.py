@@ -361,6 +361,48 @@ def test_layouts_at_the_weight_cap():
     assert_layouts_match_reference(profile)
 
 
+# Totals at each row field width's edge, with the struct code that holds them.
+FIELD_EDGES = [
+    (2**8 - 1, "B"),
+    (2**8, "H"),
+    (2**16 - 1, "H"),
+    (2**16, "I"),
+    (2**32 - 1, "I"),
+    (2**32, "Q"),
+    (INT64_MAX, "Q"),
+]
+
+
+@pytest.mark.parametrize("total, code", FIELD_EDGES)
+def test_row_fields_at_width_edges(total, code):
+    # Candidate a tops every ballot, so each of its fields holds the total.
+    assert model._field_code(total) == code
+    weights = (total - 2 * (total // 3), total // 3, total // 3)
+    orders = ([0, 3, 1, 2, 4], [0, 2, 4, 1, 3], [0, 4, 3, 2, 1])
+    profile = WeightedProfile(
+        CandidateSet(tuple("abcde")),
+        tuple(ballot(order, weight) for order, weight in zip(orders, weights)),
+    )
+    assert profile.total_weight == total
+    pairs, _ = tallied(profile)
+    expected = [list(row) for row in pairwise_reference(profile)]
+    assert model._row_margins(5, pairs, total) == expected
+
+
+@pytest.mark.parametrize("weight", [total for total, _ in FIELD_EDGES])
+def test_overlay_at_row_field_width_edges(weight):
+    # The overlay tallies the coalition's ballot alone, at a total of `weight`.
+    candidates = CandidateSet(tuple("abcde"))
+    base = ()
+    if weight < INT64_MAX:
+        base = (ballot([1, 0, 2, 3, 4], 3), ballot([4, 3, 2, 1, 0], 1))
+    vote = Ranking.from_order([2, 0, 4, 1, 3])
+    graph = build_majority_graph(WeightedProfile(candidates, base))
+    extended = WeightedProfile(candidates, base + (WeightedBallot(vote, weight),))
+    overlaid = overlay_identical_manipulators(graph, vote, weight)
+    assert overlaid.weights == pairwise_reference(extended)
+
+
 @pytest.mark.parametrize(
     "m, count, max_weight, layout",
     [

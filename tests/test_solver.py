@@ -12,9 +12,10 @@ from conftest import (
     finite_bounds,
     floyd_warshall_strengths,
     reachable,
+    skew_graphs,
 )
 from schulze_wcm import engine, solver
-from schulze_wcm.engine import widest_path_strengths
+from schulze_wcm.engine import widest_from, widest_path_strengths
 from schulze_wcm import (
     INF,
     BoundFunction,
@@ -77,6 +78,12 @@ def test_bound_function_validation():
         BoundFunction((INF, 3), 2, Mode.UNIQUE)
     with pytest.raises(ValueError):
         BoundFunction((INF, 3), 0, "unique")
+    with pytest.raises(ValueError, match="target index must be an int"):
+        decide_manipulable(
+            MajorityGraph(AC, ((0, 1), (-1, 0))),
+            BoundFunction((INF, 1), 0.0, Mode.UNIQUE),
+            1,
+        )
 
 
 # ---------------------------------------------------------- bound computation
@@ -91,8 +98,8 @@ def test_bound_two_candidates_lowered_once():
     assert applications == 1
 
 
-def test_bound_sweep_runs_the_kernel_once(monkeypatch):
-    # One sweep lowers a, a second changes nothing: two kernel runs in all.
+def count_kernel_runs(monkeypatch):
+    """Route the solver's kernel through a spy; returns the list of its calls."""
     calls = []
 
     def counting_widest_from(*args):
@@ -100,10 +107,17 @@ def test_bound_sweep_runs_the_kernel_once(monkeypatch):
         return engine.widest_from(*args)
 
     monkeypatch.setattr(solver, "widest_from", counting_widest_from)
+    return calls
+
+
+def test_bound_sweep_runs_the_kernel_once(monkeypatch):
+    # One sweep lowers a and its transfer scan lowers nothing, so the bounds
+    # are already final: one kernel run in all.
+    calls = count_kernel_runs(monkeypatch)
     graph = build_majority_graph(WeightedProfile(AC, (ballot([0, 1], 1),)))
     bounds, applications = compute_bound_function(graph, 1, 2, Mode.UNIQUE)
     assert (bounds.values, applications) == ((1, INF), 1)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_bound_two_candidates_negative_value():
@@ -120,6 +134,16 @@ def test_bound_transfer_rule_chain():
     bounds, applications = compute_bound_function(graph, 0, 1, Mode.UNIQUE)
     assert bounds.values == (INF, -9, -9)
     assert applications == 2
+
+
+def test_bound_transfer_rule_chain_takes_a_second_sweep(monkeypatch):
+    # The first transfer scan lowers x, so a second sweep must run to show
+    # that the fixed point holds: two kernel runs.
+    calls = count_kernel_runs(monkeypatch)
+    graph = MajorityGraph(CXY, ((0, 10, -10), (-10, 0, -10), (10, 10, 0)))
+    bounds, applications = compute_bound_function(graph, 0, 1, Mode.UNIQUE)
+    assert (bounds.values, applications) == ((INF, -9, -9), 2)
+    assert len(calls) == 2
 
 
 def test_bound_fixed_point_without_any_application():
@@ -148,6 +172,11 @@ def test_bound_rejects_bad_arguments():
         compute_bound_function(graph, 0, -1, Mode.UNIQUE)
     with pytest.raises(ValueError):
         compute_bound_function(graph, 1, 1, "unique")
+    with pytest.raises(ValueError, match="target index must be an int"):
+        compute_bound_function(graph, 1.0, 1, Mode.UNIQUE)
+    for weight in (1.0, "1", None):
+        with pytest.raises(ValueError, match="coalition weight must be an int"):
+            compute_bound_function(graph, 1, weight, Mode.UNIQUE)
 
 
 # -------------------------------------------------------------------- decide
@@ -259,7 +288,7 @@ def test_arborescence_unreachable_is_an_internal_error():
         spanning_arborescence(((1,), (), ()), 0)
 
 
-@pytest.mark.parametrize("root", [3, 5, -1])
+@pytest.mark.parametrize("root", [3, 5, -1, 1.0])
 def test_arborescence_rejects_root_out_of_range(root):
     with pytest.raises(ValueError, match="root index"):
         spanning_arborescence(((1,), (2,), ()), root)
@@ -520,6 +549,29 @@ def test_fixed_point_audit_at_many_candidates(m, mode):
             strengths_of=floyd_warshall_strengths,
         )
         assert verdict is None, verdict
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_graphs(max_m=8), st.sampled_from(list(Mode)), st.integers(0, 5), st.data())
+def test_sweeps_stop_at_a_true_fixed_point(graph, mode, coalition_weight, data):
+    # The sweeps end at the first transfer scan that lowers nothing; neither
+    # rule applies there, and the kernel capped at the result returns it.
+    m = len(graph.candidates)
+    target = data.draw(st.integers(0, m - 1))
+    bounds, _ = compute_bound_function(graph, target, coalition_weight, mode)
+    values = list(bounds.values)
+    verdict = applicable_rule(
+        graph.weights,
+        values,
+        target,
+        coalition_weight,
+        mode,
+        strengths_of=floyd_warshall_strengths,
+    )
+    assert verdict is None, verdict
+    again = widest_from(graph.weights, target, coalition_weight, values)
+    again[target] = INF
+    assert again == values
 
 
 def test_rule_application_counter_within_budget():
