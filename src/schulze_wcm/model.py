@@ -15,11 +15,9 @@ Each ballot is walked from its last candidate up: packed[x] gains weight *
 below, where below has bit F * y set for every y already passed, so field y
 of packed[x] ends up holding the weight ranking x above y. One struct unpack
 per row reads the fields back. No field can carry into its neighbour: a
-field holds at most the total weight, which fits in F bits. Profiles cap
-the total at 2**63 - 1; only an overlay can bring a larger one, and a total
-of 2**64 or more raises CapacityError before either layout runs; with two
-or more candidates such a coalition would break the cap on every pair
-anyway. This costs about m big-int steps per ballot, on ints of m * F bits.
+field holds at most the total weight, which profiles cap at 2**63 - 1, so
+it fits in F bits. This costs about m big-int steps per ballot, on ints of
+m * F bits.
 
 Lanes: one packed integer per candidate holding its rank on every ballot,
 one L-bit lane per ballot, with L = 8, 16 or 32 chosen so that the rank m
@@ -34,16 +32,14 @@ popcount(above & plane_j) << j. This costs about m * m / 2 * (planes + 1)
 big-int steps on n-lane integers, whatever the number n of ballots.
 
 Neither layout wins everywhere. Lanes win when ballots far outnumber the
-weight bit planes (about 5x faster at 30 candidates, 1500 ballots, weights
-1-3); rows win for a few ballots, one ballot above all, and for weights with
-many bits. `_margins` picks lanes when (planes + 1) * L < 128, so that a
-lane compare spends fewer bits per ballot on the pair {x, y} than the row
-layout's two 64-bit fields (x, y) and (y, x) do, and when n >= 12 *
-(planes + 1), so that there are enough ballots to pay for each per-pair
-step (`_LANE_BALLOTS_PER_STEP`). Both conditions read only n, m and the
-largest weight. The rule was calibrated against 64-bit row fields; narrower
-fields make rows cheaper, so near the crossover it may pick lanes where
-rows are now faster.
+weight bit planes (about 3.5x faster at 30 candidates, 1000 ballots, weights
+1-3); rows win for a few ballots, many candidates, or weights with many
+bits. As rows cost about m steps per ballot and lanes about m * m / 2 per
+plane step, the ballots that pay for a step grow with m: `_margins` picks
+lanes when n >= (planes + 1) * (8 + m // 3) (`_LANE_BALLOTS_PER_STEP` is
+the 8) and (planes + 1) * L < 80. Past that bits test lanes lose at any n
+measured: 16-bit lanes at 7 steps ran 2.5 to 3 times slower than rows at
+300 and 1000 ballots. Both conditions read only n, m and the largest weight.
 """
 
 from __future__ import annotations
@@ -57,10 +53,10 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 INT64_MAX = 2**63 - 1
-# Lanes pay for their per-pair steps once there are about this many ballots
-# per step: the measured crossover is 6 to 17 ballots per (planes + 1) for
-# m = 3 to 250 (calibration table in CHANGES.md).
-_LANE_BALLOTS_PER_STEP = 12
+# Lanes pay for their per-pair steps at about this many ballots per step plus
+# one per three candidates: measured crossovers run from 24 to 115 ballots
+# for m = 5 to 100 at 2 to 5 steps (calibration table in CHANGES.md).
+_LANE_BALLOTS_PER_STEP = 8
 
 
 class CapacityError(ValueError):
@@ -247,18 +243,13 @@ def _margins(m: int, ballots: Sequence[tuple[tuple[int, ...], int]]) -> list[lis
 
     Both layouts are described in the module docstring.
     """
-    total = sum(weight for _, weight in ballots)
-    # A row field holds at most `total`, so only a total of 2**64 or more
-    # could carry into the next field; with a pair to count, it breaks the
-    # cap too. Checking here makes both layouts raise alike.
-    if total >> 64 and m > 1:
-        raise CapacityError("pairwise weight exceeds the signed 64-bit cap")
-    if m == 1 or not ballots:
+    if not ballots:
         return [[0] * m for _ in range(m)]
-    planes = max(weight for _, weight in ballots).bit_length()
+    total = sum(weight for _, weight in ballots)
+    steps = max(weight for _, weight in ballots).bit_length() + 1
     lane_bits = 8 * array(_lane_code(m)).itemsize
-    steps = planes + 1
-    if steps * lane_bits < 128 and len(ballots) >= _LANE_BALLOTS_PER_STEP * steps:
+    per_step = _LANE_BALLOTS_PER_STEP + m // 3
+    if steps * lane_bits < 80 and len(ballots) >= steps * per_step:
         return _lane_margins(m, ballots, total)
     return _row_margins(m, ballots, total)
 
@@ -357,8 +348,13 @@ def overlay_identical_manipulators(
         raise ValueError(f"coalition weight must be an int, got {coalition_weight!r}")
     if coalition_weight < 0:
         raise ValueError("coalition weight must be >= 0")
-    extra = _margins(m, ((vote.ranks, coalition_weight),))
-    rows = [
-        list(map(operator.add, row, more)) for row, more in zip(graph.weights, extra)
-    ]
+    # An entry pushed past the cap fails MajorityGraph's own check.
+    rows = []
+    for x, (row, rank) in enumerate(zip(graph.weights, vote.ranks)):
+        out = [
+            weight + coalition_weight if rank > other else weight - coalition_weight
+            for weight, other in zip(row, vote.ranks)
+        ]
+        out[x] = 0
+        rows.append(out)
     return MajorityGraph(graph.candidates, rows)

@@ -313,11 +313,11 @@ def verify_manipulation(instance: ManipulationInstance, vote: Ranking) -> bool:
 def solve_wcm(instance: ManipulationInstance) -> ManipulationOutcome:
     """Decide the manipulation instance and construct a ballot when one exists.
 
-    With a single candidate the answer is trivially yes. With no manipulators
-    the answer is whether the target already holds the required status, and
-    no ballot is produced. Otherwise the bound function decides, and on yes
-    the constructed ballot is verified against the stated goal before being
-    returned; all manipulators cast that same ballot.
+    One candidate: yes, with the one-candidate ballot, even with no
+    manipulators. No manipulators: whether the target already holds the
+    required status, with no ballot. Otherwise the bound function decides,
+    and on yes the constructed ballot is verified against the stated goal
+    before being returned; all manipulators cast that same ballot.
     """
     profile = instance.profile
     target = instance.target

@@ -293,6 +293,9 @@ def test_graph_at_the_weight_cap():
     # One more vote for a on the INT64_MAX edge: only the graph's own entry check sees it.
     with pytest.raises(CapacityError, match="pairwise weight exceeds the signed 64-bit cap"):
         overlay_identical_manipulators(graph, Ranking.from_order([0, 1]), 1)
+    # One candidate has no pair, so even a coalition of 2**64 breaks no cap.
+    one = build_majority_graph(WeightedProfile(CandidateSet(("a",)), ()))
+    assert overlay_identical_manipulators(one, Ranking((1,)), 2**64).weights == ((0,),)
 
 
 @given(profiles(), st.randoms(use_true_random=False))
@@ -308,7 +311,8 @@ def test_overlay_equals_appended_ballot(data):
     profile = data.draw(profiles())
     m = len(profile.candidates)
     vote = data.draw(votes_for(m))
-    weight = data.draw(st.integers(1, 5))
+    # Near-cap weights too: the profile's total of at most 16 leaves room.
+    weight = data.draw(st.one_of(st.integers(1, 5), st.integers(2**32 - 2, 2**62)))
     graph = build_majority_graph(profile)
     overlaid = overlay_identical_manipulators(graph, vote, weight)
     extended = WeightedProfile(
@@ -391,7 +395,8 @@ def test_row_fields_at_width_edges(total, code):
 
 @pytest.mark.parametrize("weight", [total for total, _ in FIELD_EDGES])
 def test_overlay_at_row_field_width_edges(weight):
-    # The overlay tallies the coalition's ballot alone, at a total of `weight`.
+    # The coalition's weight sits at a row field width's edge; the overlay adds
+    # it entry by entry and must match the extended profile's tally.
     candidates = CandidateSet(tuple("abcde"))
     base = ()
     if weight < INT64_MAX:
@@ -407,13 +412,17 @@ def test_overlay_at_row_field_width_edges(weight):
     "m, count, max_weight, layout",
     [
         (30, 400, 3, "_lane_margins"),  # many ballots, few planes
-        (8, 36, 3, "_lane_margins"),  # the smallest count lanes take at 2 planes
-        (8, 35, 3, "_row_margins"),
+        (8, 30, 3, "_lane_margins"),  # the smallest count lanes take at 2 planes
+        (8, 29, 3, "_row_margins"),
+        (100, 123, 3, "_lane_margins"),  # more candidates need more ballots
+        (100, 122, 3, "_row_margins"),
         (100, 20, 3, "_row_margins"),  # the benchmark's many-candidate shape
-        (30, 1, 3, "_row_margins"),  # one ballot, as every overlay casts
+        (30, 1, 3, "_row_margins"),  # one ballot
         (6, 400, 2**20, "_row_margins"),  # too many weight planes
-        (200, 120, 2**7 - 1, "_row_margins"),  # 16-bit lanes allow 6 planes
-        (200, 120, 2**6 - 1, "_lane_margins"),
+        (30, 400, 2**9 - 1, "_row_margins"),  # 8-bit lanes allow 8 planes
+        (30, 400, 2**8 - 1, "_lane_margins"),
+        (200, 380, 2**4 - 1, "_row_margins"),  # 16-bit lanes allow 3 planes
+        (200, 300, 2**3 - 1, "_lane_margins"),
     ],
 )
 def test_margins_picks_a_layout_and_matches_both(
@@ -436,8 +445,9 @@ def test_margins_picks_a_layout_and_matches_both(
 
 
 # Large enough that `_margins` picks the lane layout, before and after each
-# change below: 60 or more ballots carry up to 4 weight bit planes
-# (12 * (4 + 1) = 60), and weights stay at most 15 after scaling by up to 5.
+# change below: 60 or more ballots on at most 6 candidates carry up to 4
+# weight bit planes ((4 + 1) * (8 + 6 // 3) = 50), and weights stay at most
+# 15 after scaling by up to 5.
 lane_profiles = profiles(min_m=2, max_m=6, min_ballots=60, max_ballots=80, max_weight=3)
 
 

@@ -752,6 +752,22 @@ def test_identical_ballot_oracle_agrees_at_five_and_six_candidates():
     assert answers == {False, True}
 
 
+def test_identical_ballot_oracle_agrees_at_seven_candidates():
+    # 5040 identical ballots per instance, so a handful of instances only.
+    rng = random.Random(7)
+    answers = set()
+    for _ in range(6):
+        profile = random_profile(rng, 7, ballots=(2, 6))
+        weights = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        target = rng.randrange(7)
+        for mode in Mode:
+            instance = ManipulationInstance(profile, weights, target, mode)
+            expected, _ = brute_force_wcm(instance, identical_only=True)
+            assert solve_wcm(instance).decision == expected
+            answers.add(expected)
+    assert answers == {False, True}
+
+
 # ------------------------------------------------------ metamorphic properties
 
 
