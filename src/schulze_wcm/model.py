@@ -6,8 +6,9 @@ x. All arithmetic is exact integer arithmetic. Total voter weight is capped
 so that every derived quantity stays inside the signed 64-bit range even
 though Python integers themselves never overflow.
 
-`_margins` tallies the matrix in one of two exact layouts and writes entry
-(x, y) as 2 * count - total, where count is the weight ranking x above y.
+`build_majority_graph` tallies the matrix in one of two exact layouts and
+writes entry (x, y) as 2 * count - total, where count is the weight ranking x
+above y.
 
 Rows: one packed integer per candidate, one F-bit field per candidate, with
 F = 8, 16, 32 or 64 the narrowest width whose range holds the total weight.
@@ -20,26 +21,25 @@ it fits in F bits. This costs about m big-int steps per ballot, on ints of
 m * F bits.
 
 Lanes: one packed integer per candidate holding its rank on every ballot,
-one L-bit lane per ballot, with L = 8, 16 or 32 chosen so that the rank m
-stays below the lane's top bit. guard holds the top bit of every lane. In
-(column[x] | guard) - column[y] each lane computes 2**(L-1) + rank_x -
-rank_y, which lies strictly between 0 and 2**L because both ranks lie in
-1..m < 2**(L-1), so no lane borrows from its neighbour and the top bit
-survives exactly when the ballot ranks x above y. Masking with guard and
-then with each bit plane of the ballot weights (plane j has lane b's top bit
-set when bit j of ballot b's weight is) gives count = sum of
-popcount(above & plane_j) << j. This costs about m * m / 2 * (planes + 1)
-big-int steps on n-lane integers, whatever the number n of ballots.
+one byte lane per ballot, so they serve only m < 128, where rank m stays
+below the lane's top bit 128. guard holds the top bit of every lane. In
+(column[x] | guard) - column[y] each lane computes 128 + rank_x - rank_y,
+which lies strictly between 0 and 256 because both ranks lie in 1..m < 128,
+so no lane borrows from its neighbour and the top bit survives exactly when
+the ballot ranks x above y. Masking with guard and then with each bit plane
+of the ballot weights (plane j has lane b's top bit set when bit j of ballot
+b's weight is) gives count = sum of popcount(above & plane_j) << j. This
+costs about m * m / 2 * (planes + 1) big-int steps on n-lane integers,
+whatever the number n of ballots.
 
 Neither layout wins everywhere. Lanes win when ballots far outnumber the
 weight bit planes (about 3.5x faster at 30 candidates, 1000 ballots, weights
 1-3); rows win for a few ballots, many candidates, or weights with many
 bits. As rows cost about m steps per ballot and lanes about m * m / 2 per
-plane step, the ballots that pay for a step grow with m: `_margins` picks
-lanes when n >= (planes + 1) * (8 + m // 3) (`_LANE_BALLOTS_PER_STEP` is
-the 8) and (planes + 1) * L < 80. Past that bits test lanes lose at any n
-measured: 16-bit lanes at 7 steps ran 2.5 to 3 times slower than rows at
-300 and 1000 ballots. Both conditions read only n, m and the largest weight.
+plane step, the ballots that pay for a step grow with m: lanes are taken
+when m < 128, planes + 1 < 10 and n >= (planes + 1) * (8 + m // 3)
+(`_LANE_BALLOTS_PER_STEP` is the 8), and rows otherwise. The rule reads
+only n, m and the largest weight.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from __future__ import annotations
 import enum
 import operator
 import struct
-from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -127,8 +126,10 @@ class Ranking:
     def from_order(cls, order: Sequence[int]) -> "Ranking":
         """Build a ranking from candidate indices listed most preferred first."""
         m = len(order)
-        if sorted(order) != list(range(m)):
-            raise ValueError("order must list every candidate index exactly once")
+        # As in __post_init__, the sum catches a float or other non-int index
+        # that compares equal to an int, which could not index ranks below.
+        if sorted(order) != list(range(m)) or type(sum(order)) is not int:
+            raise ValueError("order must list each candidate index once, as ints")
         ranks = [0] * m
         for position, candidate in enumerate(order):
             ranks[candidate] = m - position
@@ -238,20 +239,12 @@ class MajorityGraph:
                     raise CapacityError("pairwise weight exceeds the signed 64-bit cap")
 
 
-def _margins(m: int, ballots: Sequence[tuple[tuple[int, ...], int]]) -> list[list[int]]:
-    """Pairwise margin rows of (ranks, weight) ballots, in the layout that suits them.
-
-    Both layouts are described in the module docstring.
-    """
-    if not ballots:
-        return [[0] * m for _ in range(m)]
-    total = sum(weight for _, weight in ballots)
-    steps = max(weight for _, weight in ballots).bit_length() + 1
-    lane_bits = 8 * array(_lane_code(m)).itemsize
-    per_step = _LANE_BALLOTS_PER_STEP + m // 3
-    if steps * lane_bits < 80 and len(ballots) >= steps * per_step:
-        return _lane_margins(m, ballots, total)
-    return _row_margins(m, ballots, total)
+def _check_coalition_weight(coalition_weight: int) -> None:
+    """Reject a coalition weight that is not an int >= 0."""
+    if not isinstance(coalition_weight, int):
+        raise ValueError(f"coalition weight must be an int, got {coalition_weight!r}")
+    if coalition_weight < 0:
+        raise ValueError("coalition weight must be >= 0")
 
 
 def _field_code(total: int) -> str:
@@ -262,14 +255,14 @@ def _field_code(total: int) -> str:
 
 
 def _row_margins(
-    m: int, ballots: Sequence[tuple[tuple[int, ...], int]], total: int
+    m: int, rankings: Sequence[tuple[int, ...]], weights: Sequence[int], total: int
 ) -> list[list[int]]:
     """The row layout: one packed row per candidate, fields sized to the total."""
     code = _field_code(total)
     size = struct.calcsize(code)
     bits = [1 << (8 * size * x) for x in range(m)]
     packed = [0] * m
-    for ranks, weight in ballots:
+    for ranks, weight in zip(rankings, weights):
         below = 0
         for x in sorted(range(m), key=ranks.__getitem__):
             packed[x] += weight * below
@@ -284,26 +277,18 @@ def _row_margins(
     return rows
 
 
-def _lane_code(m: int) -> str:
-    """Array type code of the narrowest lane whose top bit lies above rank m."""
-    return "B" if m < 1 << 7 else "H" if m < 1 << 15 else "I"
-
-
 def _lane_margins(
-    m: int, ballots: Sequence[tuple[tuple[int, ...], int]], total: int
+    m: int, rankings: Sequence[tuple[int, ...]], weights: Sequence[int], total: int
 ) -> list[list[int]]:
-    """The lane layout: one lane per ballot, one borrow-free compare per pair."""
-    code = _lane_code(m)
-    top = 1 << (8 * array(code).itemsize - 1)
-    rankings, weights = zip(*ballots)
+    """The lane layout: one byte lane per ballot, one borrow-free compare per pair."""
 
     def pack(lanes: Iterable[int]) -> int:
-        return int.from_bytes(array(code, lanes).tobytes(), "little")
+        return int.from_bytes(bytes(lanes), "little")
 
-    guard = pack([top] * len(weights))
+    guard = pack([128] * len(weights))
     columns = [pack(column) for column in zip(*rankings)]
     planes = [
-        (j, pack([top if weight >> j & 1 else 0 for weight in weights]))
+        (j, pack([128 if weight >> j & 1 else 0 for weight in weights]))
         for j in range(max(weights).bit_length())
     ]
     rows: list[list[int]] = []
@@ -327,10 +312,18 @@ def build_majority_graph(profile: WeightedProfile) -> MajorityGraph:
     """Accumulate the pairwise weight matrix of a profile.
 
     Entry (x, y) is the signed weight margin of voters preferring x to y;
-    skew symmetry holds by construction.
+    skew symmetry holds by construction. The layout is chosen as the module
+    docstring describes.
     """
-    ballots = [(ballot.ranking.ranks, ballot.weight) for ballot in profile.ballots]
-    return MajorityGraph(profile.candidates, _margins(len(profile.candidates), ballots))
+    m = len(profile.candidates)
+    rankings = [ballot.ranking.ranks for ballot in profile.ballots]
+    weights = [ballot.weight for ballot in profile.ballots]
+    total = sum(weights)
+    steps = max(weights, default=0).bit_length() + 1
+    per_step = _LANE_BALLOTS_PER_STEP + m // 3
+    lanes = m < 128 and steps < 10 and len(weights) >= steps * per_step
+    tally = _lane_margins if lanes else _row_margins
+    return MajorityGraph(profile.candidates, tally(m, rankings, weights, total))
 
 
 def overlay_identical_manipulators(
@@ -344,10 +337,7 @@ def overlay_identical_manipulators(
     m = len(graph.candidates)
     if len(vote) != m:
         raise ValueError(f"vote ranks {len(vote)} candidates, graph has {m}")
-    if not isinstance(coalition_weight, int):
-        raise ValueError(f"coalition weight must be an int, got {coalition_weight!r}")
-    if coalition_weight < 0:
-        raise ValueError("coalition weight must be >= 0")
+    _check_coalition_weight(coalition_weight)
     # An entry pushed past the cap fails MajorityGraph's own check.
     rows = []
     for x, (row, rank) in enumerate(zip(graph.weights, vote.ranks)):

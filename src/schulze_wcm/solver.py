@@ -29,6 +29,7 @@ from .model import (
     ManipulationInstance,
     Mode,
     Ranking,
+    _check_coalition_weight,
     build_majority_graph,
     overlay_identical_manipulators,
 )
@@ -110,10 +111,7 @@ def compute_bound_function(
         raise ValueError(f"target index must be an int, got {target!r}")
     if not 0 <= target < m:
         raise ValueError(f"target index {target} out of range")
-    if not isinstance(coalition_weight, int):
-        raise ValueError(f"coalition weight must be an int, got {coalition_weight!r}")
-    if coalition_weight < 0:
-        raise ValueError("coalition weight must be >= 0")
+    _check_coalition_weight(coalition_weight)
 
     weights = graph.weights
     # The matrix is skew-symmetric with a zero diagonal, so its largest entry
@@ -171,6 +169,7 @@ def decide_manipulable(
     enough. A single candidate is always manipulable.
     """
     _check_sizes(graph, bounds)
+    _check_coalition_weight(coalition_weight)
     target = bounds.target
     strict = bounds.mode is Mode.UNIQUE
     # The target's INF bound passes its own test against any finite threshold.
@@ -190,6 +189,7 @@ def build_admissible_graph(
     least bound(y). Entry x lists x's out-neighbours in ascending index order.
     """
     m = _check_sizes(graph, bounds)
+    _check_coalition_weight(coalition_weight)
     values = bounds.values
     out: list[tuple[int, ...]] = []
     for x in range(m):
@@ -215,9 +215,10 @@ def spanning_arborescence(
 
     Entry x is x's parent in the tree, and the root's entry is None.
     Neighbors are scanned in ascending index order and the first discovery
-    fixes the parent, so the result is deterministic. Every candidate is
-    reachable from the root at a rule fixed point; an unreachable candidate
-    therefore signals a bug.
+    fixes the parent, so the result is deterministic. A neighbour that is not
+    an int in 0..m-1 raises ValueError. Every candidate is reachable from the
+    root at a rule fixed point; an unreachable candidate therefore signals a
+    bug.
     """
     m = len(out_edges)
     if not isinstance(root, int):
@@ -228,13 +229,20 @@ def spanning_arborescence(
     seen = [False] * m
     seen[root] = True
     queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in out_edges[x]:
-            if not seen[y]:
-                seen[y] = True
-                parents[y] = x
-                queue.append(y)
+    try:
+        while queue:
+            x = queue.popleft()
+            for y in out_edges[x]:
+                # Indexing seen rejects a non-int or too large y; a negative
+                # one would wrap to another candidate.
+                if y < 0:
+                    raise IndexError
+                if not seen[y]:
+                    seen[y] = True
+                    parents[y] = x
+                    queue.append(y)
+    except (IndexError, TypeError):
+        raise ValueError(f"out-neighbours must be ints in 0..{m - 1}") from None
     missing = [x for x in range(m) if not seen[x]]
     if missing:
         raise InternalInvariantError(

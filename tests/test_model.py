@@ -79,17 +79,18 @@ def seeded_profile(seed, m, count, max_weight=3):
 
 
 def tallied(profile):
-    """The profile as `_margins` input: (ranks, weight) pairs and the total."""
-    pairs = [(ballot.ranking.ranks, ballot.weight) for ballot in profile.ballots]
-    return pairs, profile.total_weight
+    """The profile as the layouts take it: rankings, weights and the total."""
+    rankings = [ballot.ranking.ranks for ballot in profile.ballots]
+    weights = [ballot.weight for ballot in profile.ballots]
+    return rankings, weights, profile.total_weight
 
 
 def assert_layouts_match_reference(profile):
     m = len(profile.candidates)
-    pairs, total = tallied(profile)
+    columns = tallied(profile)
     expected = [list(row) for row in pairwise_reference(profile)]
-    assert model._row_margins(m, pairs, total) == expected
-    assert model._lane_margins(m, pairs, total) == expected
+    assert model._row_margins(m, *columns) == expected
+    assert model._lane_margins(m, *columns) == expected
 
 
 @st.composite
@@ -120,6 +121,9 @@ def test_ranking_rejects_non_int_ranks():
     for ranks in ((1.0, 2.0), (2, 1.0), (1, 2, 3.0), (Fraction(1), 2), (Decimal(1),)):
         with pytest.raises(ValueError, match="ints"):
             Ranking(ranks)
+    for order in ((0.0, 1, 2), (1, 0.0), (Fraction(0),), (Decimal(1), 0)):
+        with pytest.raises(ValueError, match="ints"):
+            Ranking.from_order(order)
 
 
 def test_candidate_set_validation():
@@ -332,9 +336,9 @@ def test_overlay_with_zero_weight_is_identity(data):
 # ------------------------------------------------- row and lane tally layouts
 
 
-# Each layout is called directly, whichever one `_margins` would pick. The
-# empty profile is the entry point's own case, so the layouts see one ballot
-# or more.
+# Each layout is called directly, whichever one `build_majority_graph` would
+# pick. Lanes need a weight to size their planes, so the layouts see one
+# ballot or more.
 @given(
     st.one_of(
         profiles(max_m=8, max_ballots=60, max_weight=3, min_ballots=1),
@@ -346,11 +350,10 @@ def test_layouts_match_pairwise_reference(profile):
 
 
 @pytest.mark.parametrize(
-    "m, count, code", [(127, 30, "B"), (128, 30, "H"), (100, 1, "B")]
+    "m, count", [(127, 30), (100, 1)], ids=["127-30-B", "100-1-B"]
 )
-def test_layouts_at_lane_width_edges_and_one_ballot(m, count, code):
-    # Rank 127 is the largest an 8-bit lane holds below its top bit.
-    assert model._lane_code(m) == code
+def test_layouts_at_lane_width_edges_and_one_ballot(m, count):
+    # Rank 127 is the largest a byte lane holds below its top bit.
     assert_layouts_match_reference(seeded_profile(m + count, m, count))
 
 
@@ -388,9 +391,8 @@ def test_row_fields_at_width_edges(total, code):
         tuple(ballot(order, weight) for order, weight in zip(orders, weights)),
     )
     assert profile.total_weight == total
-    pairs, _ = tallied(profile)
     expected = [list(row) for row in pairwise_reference(profile)]
-    assert model._row_margins(5, pairs, total) == expected
+    assert model._row_margins(5, *tallied(profile)) == expected
 
 
 @pytest.mark.parametrize("weight", [total for total, _ in FIELD_EDGES])
@@ -421,17 +423,20 @@ def test_overlay_at_row_field_width_edges(weight):
         (6, 400, 2**20, "_row_margins"),  # too many weight planes
         (30, 400, 2**9 - 1, "_row_margins"),  # 8-bit lanes allow 8 planes
         (30, 400, 2**8 - 1, "_lane_margins"),
-        (200, 380, 2**4 - 1, "_row_margins"),  # 16-bit lanes allow 3 planes
-        (200, 300, 2**3 - 1, "_lane_margins"),
+        (127, 100, 1, "_lane_margins"),  # the most candidates a byte lane ranks
+        (128, 1000, 1, "_row_margins"),  # past it rows take any count
+        (200, 380, 2**4 - 1, "_row_margins"),
+        (200, 300, 2**3 - 1, "_row_margins"),
     ],
 )
 def test_margins_picks_a_layout_and_matches_both(
     monkeypatch, m, count, max_weight, layout
 ):
     profile = seeded_profile(count, m, count, max_weight)
-    pairs, total = tallied(profile)
-    expected = model._row_margins(m, pairs, total)
-    assert model._lane_margins(m, pairs, total) == expected
+    columns = tallied(profile)
+    expected = model._row_margins(m, *columns)
+    if m < 128:  # a byte lane holds no rank past 127
+        assert model._lane_margins(m, *columns) == expected
     picked = []
     original = getattr(model, layout)
 
@@ -440,14 +445,14 @@ def test_margins_picks_a_layout_and_matches_both(
         return original(*args)
 
     monkeypatch.setattr(model, layout, spy)
-    assert model._margins(m, pairs) == expected
+    assert build_majority_graph(profile).weights == tuple(map(tuple, expected))
     assert picked == [layout]
 
 
-# Large enough that `_margins` picks the lane layout, before and after each
-# change below: 60 or more ballots on at most 6 candidates carry up to 4
-# weight bit planes ((4 + 1) * (8 + 6 // 3) = 50), and weights stay at most
-# 15 after scaling by up to 5.
+# Large enough that `build_majority_graph` picks the lane layout, before and
+# after each change below: 60 or more ballots on at most 6 candidates carry up
+# to 4 weight bit planes ((4 + 1) * (8 + 6 // 3) = 50), and weights stay at
+# most 15 after scaling by up to 5.
 lane_profiles = profiles(min_m=2, max_m=6, min_ballots=60, max_ballots=80, max_weight=3)
 
 

@@ -218,6 +218,18 @@ def test_decide_rejects_bounds_of_another_size(values):
         decide_manipulable(graph, BoundFunction(values, 0, Mode.UNIQUE), 1)
 
 
+@pytest.mark.parametrize("step", [decide_manipulable, build_admissible_graph])
+@pytest.mark.parametrize(
+    "weight, message",
+    [(-5, "must be >= 0"), ("1", "must be an int"), (1.0, "must be an int")],
+)
+def test_decide_and_admissible_reject_bad_coalition_weight(step, weight, message):
+    graph = build_majority_graph(WeightedProfile(AC, (ballot([0, 1], 1),)))
+    bounds, _ = compute_bound_function(graph, 1, 2, Mode.UNIQUE)
+    with pytest.raises(ValueError, match=f"coalition weight {message}"):
+        step(graph, bounds, weight)
+
+
 # ---------------------------------------------------------- admissible graph
 
 
@@ -292,6 +304,16 @@ def test_arborescence_unreachable_is_an_internal_error():
 def test_arborescence_rejects_root_out_of_range(root):
     with pytest.raises(ValueError, match="root index"):
         spanning_arborescence(((1,), (2,), ()), root)
+
+
+@pytest.mark.parametrize(
+    "out_edges",
+    [((-1,), ()), ((2,), ()), ((1.0,), ()), (("1",), ()), ((1, 2), (-1,), ())],
+    ids=["negative", "past-the-end", "float", "str", "negative-behind-a-seen-one"],
+)
+def test_arborescence_rejects_edges_to_no_candidate(out_edges):
+    with pytest.raises(ValueError, match="out-neighbours must be ints"):
+        spanning_arborescence(out_edges, 0)
 
 
 # ---------------------------------------------------------- vote construction
