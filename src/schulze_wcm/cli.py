@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .ballots import ParseError, format_vote, parse_election_file, parse_vote
-from .engine import schulze_winners, widest_path_strengths
+from .engine import _winners_from, schulze_winners, widest_path_strengths
 from .model import ManipulationInstance, Mode, WeightedProfile, build_majority_graph
 from .oracle import brute_force_wcm
 from .solver import INF, BoundFunction, solve_wcm, verify_manipulation
@@ -56,10 +56,13 @@ def _cmd_winners(args: argparse.Namespace) -> int:
     profile = parsed.profile if isinstance(parsed, ManipulationInstance) else parsed
     graph = build_majority_graph(profile)
     labels = profile.candidates.labels
-    winners = schulze_winners(graph)
-    print("winners: " + " ".join(labels[i] for i in winners))
     if args.strengths:
         strength = widest_path_strengths(graph.weights)
+        winners = _winners_from(strength)
+    else:
+        winners = schulze_winners(graph)
+    print("winners: " + " ".join(labels[i] for i in winners))
+    if args.strengths:
         print("strengths:")
         for x, label in enumerate(labels):
             cells = " ".join(

@@ -8,12 +8,14 @@ rival reaches it with strictly more strength than it reaches the rival.
 Two kernels compute strengths. `widest_path_strengths` gives all pairs and
 backs the full winner set: strength(x, z) >= w exactly when z is reachable
 from x over edges of weight >= w, so it adds edges from the heaviest down,
-keeps each row's reach set as one bitset, and records every pair at the
-level where it first becomes reachable. `widest_from` is the single-source
-kernel, O(m^2), behind the solver's path rule. One candidate's status needs
-only its own row and column, so `is_unique_winner` and `is_schulze_winner`
-settle it with two single-source runs, forward and on the transpose, in
-O(m^2).
+keeps each row's reach set and each column's set of reaching rows as one
+bitset, and records every pair at the level where it first becomes
+reachable. Each edge visits only the rows it extends, so the scan costs
+O(m^2) Python-level steps after an O(m^2 log m) sort. `widest_from` is the
+single-source kernel, O(m^2), behind the solver's path rule. One candidate's
+status needs only its own row and column, so `is_unique_winner` and
+`is_schulze_winner` settle it with two single-source runs, forward and on
+the transpose, in O(m^2).
 """
 
 from __future__ import annotations
@@ -35,38 +37,49 @@ def widest_path_strengths(weights: Sequence[Sequence[int]]) -> list[list[int]]:
     the output carry no meaning and must not be read.
 
     The edges are added in descending weight order while reach[r], a bitset
-    holding r itself, tracks what row r reaches over the edges added so far.
-    An edge (i, j) extends every row that reaches i by what j reaches; each
-    pair that enters a reach set this way has strength exactly the current
-    weight, since no heavier level connected it and this one does. Diagonal
-    edges and edges inside a reach set change nothing and are skipped. Each
-    pair is written once, and the scan stops when every row is full. At most
-    m(m-1) edges extend a row, each after an O(m) pass over the rows, so the
-    worst case is O(m^3) operations on m-bit ints after an O(m^2 log m) sort.
+    holding r itself, tracks what row r reaches over the edges added so far,
+    and into[z] holds the rows whose reach set holds z. An edge (i, j)
+    extends every row that reaches i by what j reaches; each pair that enters
+    a reach set this way has strength exactly the current weight, since no
+    heavier level connected it and this one does. Diagonal edges and edges
+    inside a reach set change nothing and are skipped. Reach sets stay
+    closed, so a row that already reaches j already holds all of reach[j]:
+    only the rows in into[i] & ~into[j] are visited, and each gains at least
+    j. Each pair is written once, and the scan stops when every row is full.
+    So there are at most m(m-1) row visits, O(m^2) Python-level steps on
+    m-bit ints after an O(m^2 log m) sort.
+
+    Raises ValueError when a row's length is not the number of rows.
     """
     m = len(weights)
+    if any(len(row) != m for row in weights):
+        raise ValueError(f"weight matrix must be {m}x{m}")
     flat = list(chain.from_iterable(weights))
     out = [list(row) for row in weights]
     reach = [1 << x for x in range(m)]
+    into = reach[:]
     left = m * (m - 1)
     for edge in sorted(range(m * m), key=flat.__getitem__, reverse=True):
         i, j = divmod(edge, m)
         if reach[i] >> j & 1:
             continue
         w = flat[edge]
-        via = 1 << i
         gain = reach[j]
-        for r, have in enumerate(reach):
-            if have & via:
-                new = gain & ~have
-                if new:
-                    reach[r] = have | new
-                    left -= new.bit_count()
-                    out_r = out[r]
-                    while new:
-                        low = new & -new
-                        out_r[low.bit_length() - 1] = w
-                        new ^= low
+        rows = into[i] & ~into[j]
+        while rows:
+            row_bit = rows & -rows
+            rows ^= row_bit
+            r = row_bit.bit_length() - 1
+            new = gain & ~reach[r]
+            reach[r] |= new
+            left -= new.bit_count()
+            out_r = out[r]
+            while new:
+                low = new & -new
+                z = low.bit_length() - 1
+                out_r[z] = w
+                into[z] |= row_bit
+                new ^= low
         if not left:
             break
     return out
@@ -124,7 +137,11 @@ def schulze_winners(graph: MajorityGraph) -> tuple[int, ...]:
     Candidate x wins when strength(x, y) >= strength(y, x) for every rival y.
     The winner set is never empty.
     """
-    strengths = widest_path_strengths(graph.weights)
+    return _winners_from(widest_path_strengths(graph.weights))
+
+
+def _winners_from(strengths: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The Schulze winners read off an all-pairs strength matrix."""
     # The diagonal meets itself in the row-against-column comparison.
     winners = tuple(
         x

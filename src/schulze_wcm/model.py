@@ -151,6 +151,8 @@ class WeightedBallot:
     weight: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.ranking, Ranking):
+            raise ValueError(f"ballot ranking must be a Ranking, got {self.ranking!r}")
         if not isinstance(self.weight, int):
             raise ValueError(f"ballot weight must be an int, got {self.weight!r}")
         if self.weight < 1:
@@ -166,8 +168,16 @@ class WeightedProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ballots", tuple(self.ballots))
+        if not isinstance(self.candidates, CandidateSet):
+            raise ValueError(
+                f"candidates must be a CandidateSet, got {self.candidates!r}"
+            )
         m = len(self.candidates)
         for ballot in self.ballots:
+            if not isinstance(ballot, WeightedBallot):
+                raise ValueError(
+                    f"each ballot must be a WeightedBallot, got {ballot!r}"
+                )
             if len(ballot.ranking) != m:
                 raise ValueError(
                     f"ballot ranks {len(ballot.ranking)} candidates, profile has {m}"
@@ -193,6 +203,8 @@ class ManipulationInstance:
         object.__setattr__(
             self, "manipulator_weights", tuple(self.manipulator_weights)
         )
+        if not isinstance(self.profile, WeightedProfile):
+            raise ValueError(f"profile must be a WeightedProfile, got {self.profile!r}")
         if not isinstance(self.target, int):
             raise ValueError(f"target index must be an int, got {self.target!r}")
         if not 0 <= self.target < len(self.profile.candidates):

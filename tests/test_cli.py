@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from schulze_wcm import InternalInvariantError, cli
+from schulze_wcm import InternalInvariantError, cli, engine
 from schulze_wcm.cli import run_cli
+from schulze_wcm.engine import widest_path_strengths
 
 DATA = Path(__file__).parent / "data"
 TWO = str(DATA / "two.elect")
@@ -59,6 +60,27 @@ def test_winners_with_strengths(capsys):
     assert lines[2] == "a: . 1 1"
     assert lines[3] == "b: -1 . 1"
     assert lines[4] == "c: -1 -1 ."
+
+
+def test_winners_with_strengths_runs_the_kernel_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(weights):
+        calls.append(len(weights))
+        return widest_path_strengths(weights)
+
+    # schulze_winners looks the kernel up in engine, the printout in cli.
+    monkeypatch.setattr(engine, "widest_path_strengths", counted)
+    monkeypatch.setattr(cli, "widest_path_strengths", counted)
+    cycle = tmp_path / "cycle.elect"
+    cycle.write_text(
+        "candidates: a b c\n"
+        "ballot 1: a > b > c\nballot 1: b > c > a\nballot 1: c > a > b\n"
+    )
+    code, out, err = run(capsys, "winners", str(cycle), "--strengths")
+    assert code == 0 and err == ""
+    assert out == "winners: a b c\nstrengths:\na: . 1 1\nb: 1 . 1\nc: 1 1 .\n"
+    assert calls == [3]
 
 
 def test_winners_accepts_instance_files(capsys):

@@ -20,7 +20,7 @@ from schulze_wcm import (
 )
 from schulze_wcm.engine import is_schulze_winner, widest_from
 from schulze_wcm.oracle import _strengths as oracle_strengths
-from schulze_wcm.sampling import random_skew_graph
+from schulze_wcm.sampling import random_profile, random_skew_graph
 
 ABC = CandidateSet(("a", "b", "c"))
 
@@ -103,16 +103,58 @@ def test_widest_path_matches_oracle_copy(weights):
     assert off_diagonal(widest_path_strengths(weights)) == off_diagonal(want)
 
 
+def profile_graph(rng, m, count):
+    return build_majority_graph(random_profile(rng, m, ballots=(count, count)))
+
+
 @pytest.mark.parametrize("m", [40, 60])
 def test_strengths_and_winners_match_oracle_on_large_graphs(m):
     rng = random.Random(m)
-    for magnitude in (1, 3, 1000):
-        for parity in (0, 1):
-            graph = random_skew_graph(rng, m, magnitude=magnitude, parity=parity)
-            want = oracle_strengths([list(row) for row in graph.weights])
-            got = widest_path_strengths(graph.weights)
-            assert off_diagonal(got) == off_diagonal(want)
-            assert schulze_winners(graph) == oracle_winners(graph.weights)
+    graphs = [
+        random_skew_graph(rng, m, magnitude=magnitude, parity=parity)
+        for magnitude in (1, 3, 1000)
+        for parity in (0, 1)
+    ]
+    # Profile-backed graphs need about four times as many reach-extending
+    # edges as the skew graphs above, each reaching a few rows: the case the
+    # level scan's column index changes most.
+    graphs += [profile_graph(rng, m, count) for count in (20, 300)]
+    for graph in graphs:
+        want = oracle_strengths([list(row) for row in graph.weights])
+        got = widest_path_strengths(graph.weights)
+        assert off_diagonal(got) == off_diagonal(want)
+        assert schulze_winners(graph) == oracle_winners(graph.weights)
+
+
+@pytest.mark.parametrize("kind", ["profile", "tied"])
+def test_all_pairs_rows_and_columns_match_single_source_at_m_150(kind):
+    rng = random.Random(150)
+    if kind == "profile":
+        graph = profile_graph(rng, 150, 20)
+    else:
+        graph = random_skew_graph(rng, 150, magnitude=3)
+    weights = graph.weights
+    transposed = tuple(zip(*weights))
+    strengths = widest_path_strengths(weights)
+    for s in range(150):
+        row = widest_from(weights, s)
+        column = widest_from(transposed, s)
+        row[s] = column[s] = strengths[s][s]
+        assert strengths[s] == row
+        assert [strengths[y][s] for y in range(150)] == column
+    winners = schulze_winners(graph)
+    for target in range(150):
+        assert is_schulze_winner(graph, target) == (target in winners)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[[0, 1, 2], [3]], [[0, 1, 2], [3, 4, 5]], [[0, 1], [2]]],
+    ids=["long-then-short", "wide", "short-last"],
+)
+def test_widest_path_rejects_non_square_matrices(weights):
+    with pytest.raises(ValueError, match="must be 2x2"):
+        widest_path_strengths(weights)
 
 
 @given(

@@ -147,6 +147,21 @@ def test_ballot_and_profile_validation():
             WeightedBallot(Ranking((1, 2)), weight)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightedBallot((2, 1), 1),
+        lambda: WeightedProfile("ab", ()),
+        lambda: WeightedProfile(ABC, (("x",),)),
+        lambda: ManipulationInstance(None, (1,), 0),
+    ],
+    ids=["ranking-tuple", "candidates-str", "ballot-tuple", "profile-none"],
+)
+def test_constructors_reject_wrong_component_types(build):
+    with pytest.raises(ValueError, match="must be a"):
+        build()
+
+
 def test_instance_validation():
     profile = WeightedProfile(ABC, (ballot([0, 1, 2], 1),))
     with pytest.raises(ValueError):
