@@ -1,0 +1,129 @@
+"""Cross-check the solver's restricted scans against scans over every pair.
+
+`compute_bound_function` runs its transfer scan over the rivals that can
+still lower someone, and `build_admissible_graph` tests only the heads whose
+bound is at most the row's. This script recomputes both with local
+references that visit every candidate pair, on graphs with 100 to 400
+candidates in both decision modes: majority graphs of random profiles with
+20 and with 300 ballots, and tie-heavy skew graphs whose entries have
+magnitude at most 2. Any difference is printed and the script exits nonzero.
+
+Usage: python3 scripts/scan_audit.py [--sizes 100 200 400] [--seed S]
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import time
+from itertools import product
+from pathlib import Path
+
+# Run against this checkout's sources, installed or not.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from schulze_wcm.engine import widest_from  # noqa: E402
+from schulze_wcm.model import Mode, build_majority_graph  # noqa: E402
+from schulze_wcm.sampling import random_profile, random_skew_graph  # noqa: E402
+from schulze_wcm.solver import (  # noqa: E402
+    INF,
+    build_admissible_graph,
+    compute_bound_function,
+)
+
+
+def full_scan_bounds(weights, target, coalition_weight, mode):
+    """The bound fixed point with a transfer scan over every rival pair."""
+    m = len(weights)
+    bounds = [max(map(max, weights)) + coalition_weight] * m
+    bounds[target] = INF
+    applications = 0
+    strict_transfer = mode is not Mode.UNIQUE
+    while True:
+        support = widest_from(weights, target, coalition_weight, bounds)
+        support[target] = INF
+        applications += sum(s < b for s, b in zip(support, bounds))
+        bounds = support
+        before = applications
+        for x in range(m):
+            if x == target:
+                continue
+            for y, bound_y in enumerate(bounds):
+                if bound_y >= bounds[x]:
+                    continue
+                edge = weights[y][x] - coalition_weight
+                if edge > bound_y or (edge == bound_y and not strict_transfer):
+                    bounds[x] = bound_y
+                    applications += 1
+        if applications == before:
+            return tuple(bounds), applications
+
+
+def full_admissible(weights, values, coalition_weight):
+    """The admissible graph tested over every ordered pair."""
+    m = len(values)
+    return tuple(
+        tuple(
+            y
+            for y in range(m)
+            if y != x and min(values[x], weights[x][y] + coalition_weight) >= values[y]
+        )
+        for x in range(m)
+    )
+
+
+def graphs(rng: random.Random, m: int):
+    """(kind, graph) pairs of one size: two profile tallies, two tied graphs."""
+    for count in (20, 300):
+        profile = random_profile(rng, m, ballots=(count, count))
+        yield f"profile-{count}", build_majority_graph(profile)
+    for magnitude in (1, 2):
+        yield f"skew-{magnitude}", random_skew_graph(rng, m, magnitude=magnitude)
+
+
+def matches(graph, target: int, coalition_weight: int, mode: Mode) -> bool:
+    """Whether the solver's scans agree with the full-scan references."""
+    weights = graph.weights
+    bounds, applications = compute_bound_function(
+        graph, target, coalition_weight, mode
+    )
+    if (bounds.values, applications) != full_scan_bounds(
+        weights, target, coalition_weight, mode
+    ):
+        return False
+    return build_admissible_graph(graph, bounds, coalition_weight) == (
+        full_admissible(weights, bounds.values, coalition_weight)
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400])
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+
+    rng = random.Random(args.seed)
+    checked = 0
+    mismatches = 0
+    start = time.perf_counter()
+    for m in args.sizes:
+        for kind, graph in graphs(rng, m):
+            targets = rng.sample(range(m), 2)
+            coalitions = (1, rng.randint(2, 40), rng.randint(41, 900))
+            for target, coalition_weight, mode in product(targets, coalitions, Mode):
+                checked += 1
+                if not matches(graph, target, coalition_weight, mode):
+                    mismatches += 1
+                    print(
+                        f"mismatch: m={m} {kind} target={target}"
+                        f" coalition={coalition_weight} mode={mode.value}"
+                    )
+    elapsed = time.perf_counter() - start
+
+    print(f"{checked} solves checked in {elapsed:.2f}s: {mismatches} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -194,6 +194,10 @@ def parse_vote(text: str, candidates: CandidateSet) -> Ranking:
 
 def format_vote(vote: Ranking, candidates: CandidateSet) -> str:
     """Render a ranking as labels joined by ' > ', most preferred first."""
+    if len(vote) != len(candidates):
+        raise ValueError(
+            f"vote ranks {len(vote)} candidates, the set has {len(candidates)}"
+        )
     return " > ".join(candidates.labels[i] for i in vote.order())
 
 

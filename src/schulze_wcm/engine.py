@@ -98,15 +98,20 @@ def widest_from(
     (source, z) paths; the entry for the source is None. Accepts any square
     matrix, no symmetry assumed. A greedy max-first scan (the bottleneck
     analogue of Dijkstra) is exact for arbitrary integer weights and runs in
-    O(m^2).
+    O(m^2). Raises ValueError when a row's length or the number of caps is
+    not the number of rows.
     """
     m = len(weights)
     if not isinstance(source, int):
         raise ValueError(f"source index must be an int, got {source!r}")
     if not 0 <= source < m:
         raise ValueError(f"source index {source} out of range")
+    if any(map(m.__ne__, map(len, weights))):
+        raise ValueError(f"weight matrix must be {m}x{m}")
     if caps is None:
         caps = [math.inf] * m
+    elif len(caps) != m:
+        raise ValueError(f"caps cover {len(caps)} candidates, the matrix {m}")
     best: list = [None] * m
     todo = [z for z in range(m) if z != source]
     row = weights[source]

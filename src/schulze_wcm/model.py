@@ -11,14 +11,20 @@ writes entry (x, y) as 2 * count - total, where count is the weight ranking x
 above y.
 
 Rows: one packed integer per candidate, one F-bit field per candidate, with
-F = 8, 16, 32 or 64 the narrowest width whose range holds the total weight.
-Each ballot is walked from its last candidate up: packed[x] gains weight *
-below, where below has bit F * y set for every y already passed, so field y
-of packed[x] ends up holding the weight ranking x above y. One struct unpack
-per row reads the fields back. No field can carry into its neighbour: a
-field holds at most the total weight, which profiles cap at 2**63 - 1, so
-it fits in F bits. This costs about m big-int steps per ballot, on ints of
-m * F bits.
+F = 8, 16, 32 or 64 the narrowest width with total < 2**(F-1), so that a
+signed F-bit field holds every margin in -total..total. Each ballot is
+walked from its last candidate up: packed[x] gains weight * below, where
+below has bit F * y set for every y already passed, so field y of packed[x]
+ends up holding the weight ranking x above y, and field x holds 0. The row
+is then read as margins in one pass of big-int steps: doubling it, adding a
+bias of 2**(F-1) - total to every field and total to field x leaves every
+field in 2**(F-1) - total..2**(F-1) + total, inside 0..2**F, so no field
+carries into its neighbour, and field y holds 2**(F-1) + 2 * count - total,
+field x exactly 2**(F-1). Flipping each field's top bit then turns it into
+the two's complement of 2 * count - total, and 0 on the diagonal, which one
+signed struct unpack per row reads back. Profiles cap the total at
+2**63 - 1, so F = 64 always suffices. This costs about m big-int steps per
+ballot, on ints of m * F bits.
 
 Lanes: one packed integer per candidate holding its rank on every ballot,
 one byte lane per ballot, so they serve only m < 128, where rank m stays
@@ -238,6 +244,10 @@ class MajorityGraph:
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.weights)
         object.__setattr__(self, "weights", rows)
+        if not isinstance(self.candidates, CandidateSet):
+            raise ValueError(
+                f"candidates must be a CandidateSet, got {self.candidates!r}"
+            )
         m = len(self.candidates)
         if len(rows) != m or any(len(row) != m for row in rows):
             raise ValueError(f"weight matrix must be {m}x{m}")
@@ -260,32 +270,36 @@ def _check_coalition_weight(coalition_weight: int) -> None:
 
 
 def _field_code(total: int) -> str:
-    """Struct code of the narrowest row field whose range holds total."""
-    if total < 1 << 16:
-        return "B" if total < 1 << 8 else "H"
-    return "I" if total < 1 << 32 else "Q"
+    """Struct code of the narrowest signed row field whose range holds +-total."""
+    if total < 1 << 15:
+        return "b" if total < 1 << 7 else "h"
+    return "i" if total < 1 << 31 else "q"
 
 
 def _row_margins(
     m: int, rankings: Sequence[tuple[int, ...]], weights: Sequence[int], total: int
 ) -> list[list[int]]:
-    """The row layout: one packed row per candidate, fields sized to the total."""
+    """The row layout: one packed row per candidate, signed fields read as margins."""
     code = _field_code(total)
     size = struct.calcsize(code)
-    bits = [1 << (8 * size * x) for x in range(m)]
+    width = 8 * size
+    bits = [1 << (width * x) for x in range(m)]
     packed = [0] * m
     for ranks, weight in zip(rankings, weights):
         below = 0
         for x in sorted(range(m), key=ranks.__getitem__):
             packed[x] += weight * below
             below |= bits[x]
+    ones = sum(bits)
+    half = ones << (width - 1)
+    bias = ((1 << (width - 1)) - total) * ones
     layout = f"<{m}{code}"
     rows = []
     for x in range(m):
-        counts = struct.unpack(layout, packed[x].to_bytes(size * m, "little"))
-        row = [count + count - total for count in counts]
-        row[x] = 0
-        rows.append(row)
+        # Field y now holds 2 * count + 2**(F-1) - total and field x holds
+        # 2**(F-1); flipping each top bit leaves margins in two's complement.
+        fields = ((packed[x] << 1) + bias + total * bits[x]) ^ half
+        rows.append(list(struct.unpack(layout, fields.to_bytes(size * m, "little"))))
     return rows
 
 
@@ -347,6 +361,8 @@ def overlay_identical_manipulators(
     ballot (vote, coalition_weight); with weight zero the graph is unchanged.
     """
     m = len(graph.candidates)
+    if not isinstance(vote, Ranking):
+        raise ValueError(f"vote must be a Ranking, got {vote!r}")
     if len(vote) != m:
         raise ValueError(f"vote ranks {len(vote)} candidates, graph has {m}")
     _check_coalition_weight(coalition_weight)

@@ -9,12 +9,20 @@ into the target. On a yes decision, a spanning arborescence of the admissible
 support graph is folded into one ballot that the whole coalition casts; the
 resulting election is re-checked before the outcome is returned.
 
+Each rule's own inequality excludes most candidate pairs before any edge is
+read: a rival whose row maximum fails the transfer rule's edge test against
+its own bound can transfer to no one, and an admissible edge never enters a
+head with a larger bound than its tail. The transfer scan and the admissible
+graph visit only the pairs these tests leave, and fire or keep exactly the
+pairs a scan over all of them would.
+
 Everything runs in polynomial time in the number of candidates; weights only
 enter through exact integer comparisons.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import operator
@@ -100,7 +108,12 @@ def compute_bound_function(
     A sweep is one kernel run plus one transfer scan. The single-source run
     saturates the path rule (the batch assigns exactly the values the rule
     would assign one at a time in decreasing order); the scan then visits
-    rival pairs in lexicographic order for the transfer rule. Sweeps repeat
+    rival pairs in lexicographic order for the transfer rule. A rival y whose
+    row maximum, put through the edge test against y's own bound, fails it
+    can lower no one, so the scan visits only the other rivals, the sources,
+    listed in index order at its start; a candidate that becomes a source
+    during the scan joins the list in index order. The rule fires at the
+    same pairs, in the same order, as a scan over every pair. Sweeps repeat
     until a transfer scan lowers nothing: the kernel's output is then the
     bound vector, and a kernel run capped at its own output returns it
     unchanged, so another sweep could lower nothing either. Returns the fixed
@@ -114,16 +127,24 @@ def compute_bound_function(
     _check_coalition_weight(coalition_weight)
 
     weights = graph.weights
-    # The matrix is skew-symmetric with a zero diagonal, so its largest entry
-    # is the largest pairwise weight (or 0 with a single candidate).
-    start = max(map(max, weights)) + coalition_weight
+    # A row's maximum bounds every edge leaving it, the zero diagonal
+    # included, so the largest maximum is the largest pairwise weight (or 0
+    # with a single candidate).
+    top = list(map(max, weights))
+    start = max(top) + coalition_weight
     bounds: list = [start] * m
     bounds[target] = INF
     # Each candidate walks down a value set of at most m*(m-1)+1 entries, so
     # the application count can never pass this budget.
     budget = m * (m * (m - 1) + 1)
     applications = 0
-    strict_transfer = mode is not Mode.UNIQUE
+    # Bounds are ints off the target, so the strict COWINNER test edge > bound
+    # is edge - 1 >= bound, and one floor serves both modes.
+    floor = coalition_weight + (0 if mode is Mode.UNIQUE else 1)
+    # y can lower anyone only while strongest[y] >= bounds[y], the transfer
+    # test with the edge replaced by its upper bound; as bounds never rise,
+    # a source stays a source. The target's INF bound never qualifies.
+    strongest = [peak - floor for peak in top]
 
     while True:
         support = widest_from(weights, target, coalition_weight, bounds)
@@ -134,17 +155,25 @@ def compute_bound_function(
         applications += sum(map(operator.lt, support, bounds))
         bounds = support
         before = applications
+        sources = [y for y in range(m) if strongest[y] >= bounds[y]]
         for x in range(m):
             if x == target:
                 continue
-            # The skip rejects y == x (equal bounds) and the target (INF).
-            for y, bound_y in enumerate(bounds):
-                if bound_y >= bounds[x]:
-                    continue
-                edge = weights[y][x] - coalition_weight
-                if edge > bound_y or (edge == bound_y and not strict_transfer):
-                    bounds[x] = bound_y
+            bound_x = old = bounds[x]
+            # Only bounds[x] moves during x's pass, and x never lowers itself
+            # (its stale entry fails the first test), so the local copy reads
+            # what the live entry would.
+            for y in sources:
+                bound_y = bounds[y]
+                if bound_y < bound_x and weights[y][x] - floor >= bound_y:
+                    bound_x = bound_y
                     applications += 1
+            if bound_x < old:
+                bounds[x] = bound_x
+                # A new source joins in index order, so later rows visit it
+                # where the full scan would.
+                if bound_x <= strongest[x] < old:
+                    bisect.insort(sources, x)
         if applications > budget:
             raise InternalInvariantError("rule application budget exceeded")
         if applications == before:
@@ -187,23 +216,26 @@ def build_admissible_graph(
 
     Edge (x, y) exists when min(bound(x), weight(x, y) + coalition) is at
     least bound(y). Entry x lists x's out-neighbours in ascending index order.
+    Only heads whose bound is at most bound(x) can qualify, so each row tests
+    just those, found by one bisection into the candidates sorted by bound.
     """
     m = _check_sizes(graph, bounds)
     _check_coalition_weight(coalition_weight)
     values = bounds.values
+    # min(bound(x), weight(x, y) + coalition) >= bound(y) splits into
+    # bound(y) <= bound(x), a prefix of heads, and weight(x, y) >= needs.
+    heads = sorted(range(m), key=values.__getitem__)
+    levels = [values[y] for y in heads]
+    needs = [level - coalition_weight for level in levels]
     out: list[tuple[int, ...]] = []
-    for x in range(m):
-        bound_x = values[x]
-        row = graph.weights[x]
-        hits = []
-        for y in range(m):
-            if y == x:
-                continue
-            strength = row[y] + coalition_weight
-            if bound_x < strength:
-                strength = bound_x
-            if strength >= values[y]:
-                hits.append(y)
+    for x, row in enumerate(graph.weights):
+        count = bisect.bisect_right(levels, values[x])
+        hits = [
+            y
+            for y, need in zip(heads[:count], needs[:count])
+            if row[y] >= need and y != x
+        ]
+        hits.sort()
         out.append(tuple(hits))
     return tuple(out)
 

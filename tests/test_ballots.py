@@ -161,6 +161,12 @@ def test_parse_vote_and_format_vote():
         parse_vote("c > a > a", candidates)
 
 
+@pytest.mark.parametrize("ranks", [(1, 2), (1, 2, 3, 4)], ids=["short", "long"])
+def test_format_vote_rejects_a_vote_of_another_size(ranks):
+    with pytest.raises(ValueError, match="the set has 3"):
+        format_vote(Ranking(ranks), CandidateSet(("a", "b", "c")))
+
+
 def test_serialize_instance_round_trip_text():
     parsed = parse_election_file(INSTANCE_TEXT)
     assert serialize_election(parsed) == INSTANCE_TEXT

@@ -157,6 +157,21 @@ def test_widest_path_rejects_non_square_matrices(weights):
         widest_path_strengths(weights)
 
 
+@pytest.mark.parametrize(
+    "weights, caps, message",
+    [
+        ([[0, 1, 2], [3]], None, "must be 2x2"),
+        ([[0], [1, 0]], None, "must be 2x2"),
+        ([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]], [5], "caps cover 1 candidates"),
+        ([[0, 1], [-1, 0]], [5, 5, 5], "caps cover 3 candidates"),
+    ],
+    ids=["long-then-short", "short-then-long", "few-caps", "many-caps"],
+)
+def test_widest_from_rejects_mismatched_sizes(weights, caps, message):
+    with pytest.raises(ValueError, match=message):
+        widest_from(weights, 0, 0, caps)
+
+
 @given(
     arbitrary_matrices(max_m=6),
     st.lists(st.integers(-(2**64), 2**64), min_size=6, max_size=6),

@@ -21,8 +21,10 @@ from schulze_wcm import (
     WeightedProfile,
     build_majority_graph,
     overlay_identical_manipulators,
+    verify_manipulation,
 )
 
+AB = CandidateSet(("a", "b"))
 ABC = CandidateSet(("a", "b", "c"))
 
 
@@ -154,8 +156,23 @@ def test_ballot_and_profile_validation():
         lambda: WeightedProfile("ab", ()),
         lambda: WeightedProfile(ABC, (("x",),)),
         lambda: ManipulationInstance(None, (1,), 0),
+        lambda: MajorityGraph("abc", ((0, 1, -1), (-1, 0, 1), (1, -1, 0))),
+        lambda: overlay_identical_manipulators(
+            build_majority_graph(WeightedProfile(ABC, ())), (3, 2, 1), 1
+        ),
+        lambda: verify_manipulation(
+            ManipulationInstance(WeightedProfile(AB, ()), (1,), 0), (1, 2)
+        ),
     ],
-    ids=["ranking-tuple", "candidates-str", "ballot-tuple", "profile-none"],
+    ids=[
+        "ranking-tuple",
+        "candidates-str",
+        "ballot-tuple",
+        "profile-none",
+        "graph-candidates-str",
+        "overlay-vote-tuple",
+        "verify-vote-tuple",
+    ],
 )
 def test_constructors_reject_wrong_component_types(build):
     with pytest.raises(ValueError, match="must be a"):
@@ -383,15 +400,22 @@ def test_layouts_at_the_weight_cap():
     assert_layouts_match_reference(profile)
 
 
-# Totals at each row field width's edge, with the struct code that holds them.
+# Totals at each signed row field's edge (2**7, 2**15, 2**31) and at each
+# unsigned width's edge, with the signed struct code that holds them.
 FIELD_EDGES = [
-    (2**8 - 1, "B"),
-    (2**8, "H"),
-    (2**16 - 1, "H"),
-    (2**16, "I"),
-    (2**32 - 1, "I"),
-    (2**32, "Q"),
-    (INT64_MAX, "Q"),
+    (2**7 - 1, "b"),
+    (2**7, "h"),
+    (2**8 - 1, "h"),
+    (2**8, "h"),
+    (2**15 - 1, "h"),
+    (2**15, "i"),
+    (2**16 - 1, "i"),
+    (2**16, "i"),
+    (2**31 - 1, "i"),
+    (2**31, "q"),
+    (2**32 - 1, "q"),
+    (2**32, "q"),
+    (INT64_MAX, "q"),
 ]
 
 

@@ -39,7 +39,7 @@ from schulze_wcm import (
     spanning_arborescence,
     verify_manipulation,
 )
-from schulze_wcm.sampling import random_instance, random_profile
+from schulze_wcm.sampling import random_instance, random_profile, random_skew_graph
 
 AC = CandidateSet(("a", "c"))
 CXY = CandidateSet(("c", "x", "y"))
@@ -273,6 +273,104 @@ def test_target_never_has_incoming_admissible_edges():
         )
         for row in admissible:
             assert instance.target not in row
+
+
+# ----------------------------------------- scans against every pair they skip
+
+
+def full_scan_bounds(graph, target, coalition_weight, mode):
+    """The bound fixed point with a transfer scan over every rival pair."""
+    weights = graph.weights
+    m = len(weights)
+    bounds = [max(map(max, weights)) + coalition_weight] * m
+    bounds[target] = INF
+    applications = 0
+    strict_transfer = mode is not Mode.UNIQUE
+    while True:
+        support = widest_from(weights, target, coalition_weight, bounds)
+        support[target] = INF
+        applications += sum(s < b for s, b in zip(support, bounds))
+        bounds = support
+        before = applications
+        for x in range(m):
+            if x == target:
+                continue
+            for y, bound_y in enumerate(bounds):
+                if bound_y >= bounds[x]:
+                    continue
+                edge = weights[y][x] - coalition_weight
+                if edge > bound_y or (edge == bound_y and not strict_transfer):
+                    bounds[x] = bound_y
+                    applications += 1
+        if applications == before:
+            return tuple(bounds), applications
+
+
+def full_admissible(graph, bounds, coalition_weight):
+    """The admissible graph tested over every ordered pair."""
+    values = bounds.values
+    m = len(values)
+    return tuple(
+        tuple(
+            y
+            for y in range(m)
+            if y != x
+            and min(values[x], graph.weights[x][y] + coalition_weight) >= values[y]
+        )
+        for x in range(m)
+    )
+
+
+def assert_scans_match_every_pair(graph, target, coalition_weight, mode):
+    bounds, applications = compute_bound_function(
+        graph, target, coalition_weight, mode
+    )
+    expected = full_scan_bounds(graph, target, coalition_weight, mode)
+    assert (bounds.values, applications) == expected
+    assert build_admissible_graph(graph, bounds, coalition_weight) == (
+        full_admissible(graph, bounds, coalition_weight)
+    )
+
+
+def test_scans_match_every_pair_on_skew_graphs():
+    # Magnitudes from 1 make many graphs all ties (every entry 0 or +-1).
+    rng = random.Random(1701)
+    for _ in range(5000):
+        m = rng.randint(1, 25)
+        graph = random_skew_graph(rng, m, magnitude=rng.randint(1, 50))
+        target = rng.randrange(m)
+        coalition_weight = rng.randint(0, 30)
+        for mode in Mode:
+            assert_scans_match_every_pair(graph, target, coalition_weight, mode)
+
+
+@pytest.mark.parametrize("m, count", [(40, 20), (80, 5), (100, 20), (150, 60)])
+def test_scans_match_every_pair_on_profile_graphs(m, count):
+    rng = random.Random(m * 1000 + count)
+    graph = build_majority_graph(random_profile(rng, m, ballots=(count, count)))
+    for target in rng.sample(range(m), 3):
+        for coalition_weight in (1, 5, 3 * count):
+            for mode in Mode:
+                assert_scans_match_every_pair(graph, target, coalition_weight, mode)
+
+
+def test_source_joining_mid_scan_lowers_later_rows():
+    # Candidate 1 becomes a source during the first scan, after row 0 and
+    # before row 3, which it then lowers; a scan over the sources listed at
+    # its start would leave that to a later sweep and count 10 applications.
+    weights = (
+        (0, 7, -7, 7, -7, 5),
+        (-7, 0, 3, 3, -5, -1),
+        (7, -3, 0, -3, -3, 9),
+        (-7, -3, 3, 0, -1, -3),
+        (7, 5, 3, 1, 0, 7),
+        (-5, 1, -9, 3, -7, 0),
+    )
+    graph = MajorityGraph(CandidateSet(tuple("abcdef")), weights)
+    bounds, applications = compute_bound_function(graph, 4, 1, Mode.UNIQUE)
+    assert bounds.values == (4, 4, 4, 4, INF, 4)
+    assert applications == 9
+    assert full_scan_bounds(graph, 4, 1, Mode.UNIQUE) == (bounds.values, 9)
 
 
 # ------------------------------------------------------------- arborescence
