@@ -1,4 +1,4 @@
-"""Cross-check the solver's restricted scans against scans over every pair.
+"""Cross-check the solver's restricted scans and its tree certificate.
 
 `compute_bound_function` runs its transfer scan over the rivals that can
 still lower someone, and `build_admissible_graph` tests only the heads whose
@@ -6,7 +6,12 @@ bound is at most the row's. This script recomputes both with local
 references that visit every candidate pair, on graphs with 100 to 400
 candidates in both decision modes: majority graphs of random profiles with
 20 and with 300 ballots, and tie-heavy skew graphs whose entries have
-magnitude at most 2. Any difference is printed and the script exits nonzero.
+magnitude at most 2. On every YES decision it also runs the rest of the
+solve (tree, ballot, tree certificate) and checks the final election in full
+whatever the certificate says; it prints the share of YES answers the
+certificate settled. A scan difference, or a constructed ballot that fails
+the full check whether certified or not, is printed, and the script exits
+nonzero.
 
 Usage: python3 scripts/scan_audit.py [--sizes 100 200 400] [--seed S]
 """
@@ -24,12 +29,21 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from schulze_wcm.engine import widest_from  # noqa: E402
-from schulze_wcm.model import Mode, build_majority_graph  # noqa: E402
+from schulze_wcm.model import (  # noqa: E402
+    Mode,
+    build_majority_graph,
+    overlay_identical_manipulators,
+)
 from schulze_wcm.sampling import random_profile, random_skew_graph  # noqa: E402
 from schulze_wcm.solver import (  # noqa: E402
     INF,
+    _reaches_goal,
+    _tree_certifies_goal,
     build_admissible_graph,
     compute_bound_function,
+    construct_manipulator_vote,
+    decide_manipulable,
+    spanning_arborescence,
 )
 
 
@@ -82,19 +96,28 @@ def graphs(rng: random.Random, m: int):
         yield f"skew-{magnitude}", random_skew_graph(rng, m, magnitude=magnitude)
 
 
-def matches(graph, target: int, coalition_weight: int, mode: Mode) -> bool:
-    """Whether the solver's scans agree with the full-scan references."""
+def audit(graph, target: int, coalition_weight: int, mode: Mode):
+    """(scans match, YES tail), the tail None on NO, else (certified, reaches).
+
+    reaches is the full check of the final election, run on every YES.
+    """
     weights = graph.weights
     bounds, applications = compute_bound_function(
         graph, target, coalition_weight, mode
     )
-    if (bounds.values, applications) != full_scan_bounds(
+    admissible = build_admissible_graph(graph, bounds, coalition_weight)
+    same = (bounds.values, applications) == full_scan_bounds(
         weights, target, coalition_weight, mode
-    ):
-        return False
-    return build_admissible_graph(graph, bounds, coalition_weight) == (
-        full_admissible(weights, bounds.values, coalition_weight)
+    ) and admissible == full_admissible(weights, bounds.values, coalition_weight)
+    if not decide_manipulable(graph, bounds, coalition_weight):
+        return same, None
+    parents = spanning_arborescence(admissible, target)
+    vote = construct_manipulator_vote(parents, bounds)
+    certified = _tree_certifies_goal(
+        graph, target, vote, parents, coalition_weight, mode
     )
+    final = overlay_identical_manipulators(graph, vote, coalition_weight)
+    return same, (certified, _reaches_goal(final, target, mode))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,6 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(args.seed)
     checked = 0
     mismatches = 0
+    yes = 0
+    certified = 0
+    failed = 0
     start = time.perf_counter()
     for m in args.sizes:
         for kind, graph in graphs(rng, m):
@@ -113,16 +139,29 @@ def main(argv: list[str] | None = None) -> int:
             coalitions = (1, rng.randint(2, 40), rng.randint(41, 900))
             for target, coalition_weight, mode in product(targets, coalitions, Mode):
                 checked += 1
-                if not matches(graph, target, coalition_weight, mode):
+                same, tail = audit(graph, target, coalition_weight, mode)
+                case = (
+                    f"m={m} {kind} target={target}"
+                    f" coalition={coalition_weight} mode={mode.value}"
+                )
+                if not same:
                     mismatches += 1
-                    print(
-                        f"mismatch: m={m} {kind} target={target}"
-                        f" coalition={coalition_weight} mode={mode.value}"
-                    )
+                    print(f"mismatch: {case}")
+                if tail is not None:
+                    yes += 1
+                    certified += tail[0]
+                    if not tail[1]:
+                        failed += 1
+                        verdict = "certified" if tail[0] else "uncertified"
+                        print(f"{verdict} ballot fails the full check: {case}")
     elapsed = time.perf_counter() - start
 
     print(f"{checked} solves checked in {elapsed:.2f}s: {mismatches} mismatches")
-    return 1 if mismatches else 0
+    print(
+        f"{yes} YES answers: {certified} settled by the tree certificate,"
+        f" {yes - certified} by the full check; {failed} ballots fail the full check"
+    )
+    return 1 if mismatches or failed else 0
 
 
 if __name__ == "__main__":

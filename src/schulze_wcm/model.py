@@ -159,7 +159,8 @@ class WeightedBallot:
     def __post_init__(self) -> None:
         if not isinstance(self.ranking, Ranking):
             raise ValueError(f"ballot ranking must be a Ranking, got {self.ranking!r}")
-        if not isinstance(self.weight, int):
+        # bool is an int subclass, but True would be written back as "True".
+        if not isinstance(self.weight, int) or isinstance(self.weight, bool):
             raise ValueError(f"ballot weight must be an int, got {self.weight!r}")
         if self.weight < 1:
             raise ValueError("ballot weight must be >= 1")
@@ -216,7 +217,7 @@ class ManipulationInstance:
         if not 0 <= self.target < len(self.profile.candidates):
             raise ValueError(f"target index {self.target} out of range")
         for weight in self.manipulator_weights:
-            if not isinstance(weight, int):
+            if not isinstance(weight, int) or isinstance(weight, bool):
                 raise ValueError(f"manipulator weights must be ints, got {weight!r}")
             if weight < 1:
                 raise ValueError("manipulator weights must be >= 1")
@@ -262,8 +263,8 @@ class MajorityGraph:
 
 
 def _check_coalition_weight(coalition_weight: int) -> None:
-    """Reject a coalition weight that is not an int >= 0."""
-    if not isinstance(coalition_weight, int):
+    """Reject a coalition weight that is not an int >= 0, or is a bool."""
+    if not isinstance(coalition_weight, int) or isinstance(coalition_weight, bool):
         raise ValueError(f"coalition weight must be an int, got {coalition_weight!r}")
     if coalition_weight < 0:
         raise ValueError("coalition weight must be >= 0")

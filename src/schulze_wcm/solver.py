@@ -6,8 +6,13 @@ ceiling on the path strength any rival may be allowed to reach toward the
 target, by applying two value-lowering rules until a joint fixed point. The
 decision then compares each rival's bound against the direct edge it holds
 into the target. On a yes decision, a spanning arborescence of the admissible
-support graph is folded into one ballot that the whole coalition casts; the
-resulting election is re-checked before the outcome is returned.
+support graph is folded into one ballot that the whole coalition casts, and
+the outcome is returned only once that ballot is shown to reach the goal.
+The tree first serves as an O(m) certificate: its paths bound the target's
+strength toward each rival from below, and the heaviest final entry into
+the target bounds every rival's strength back. When those bounds cannot
+settle it, the final election is built and its winner status re-checked in
+full.
 
 Each rule's own inequality excludes most candidate pairs before any edge is
 read: a rival whose row maximum fails the transfer rule's edge test against
@@ -331,6 +336,63 @@ def construct_manipulator_vote(
     return Ranking(tuple(ranks))
 
 
+def _tree_certifies_goal(
+    graph: MajorityGraph,
+    target: int,
+    vote: Ranking,
+    parents: tuple[int | None, ...],
+    coalition_weight: int,
+    mode: Mode,
+) -> bool:
+    """Whether the tree alone proves that the coalition's ballot reaches the goal.
+
+    Entry (x, y) of the final election is weight(x, y) + W when the vote
+    ranks x above y and weight(x, y) - W otherwise; the final matrix is
+    never built. Every path into the target ends on some entry (z, target),
+    so no rival reaches the target with more strength than the heaviest of
+    them. The tree path from the target to a rival y shows that the target
+    reaches y with at least the lightest entry on that path, its floor; as
+    every tree edge lies on its child's path, the lightest tree edge is the
+    least floor over all rivals. The goal holds when every floor beats the
+    heaviest entry into the target, strictly in UNIQUE mode. O(m).
+
+    True proves the goal; False only means the tree cannot tell. It needs
+    at least one rival, and parents must give the target no parent, as
+    construct_manipulator_vote requires; a candidate the walk from the
+    target does not reach has no tree path, and fails the certificate.
+    """
+    weights = graph.weights
+    ranks = vote.ranks
+    top = ranks[target]
+    down = -coalition_weight
+    entry = max(
+        row[target] + (coalition_weight if rank > top else down)
+        for z, (row, rank) in enumerate(zip(weights, ranks))
+        if z != target
+    )
+    strict = mode is Mode.UNIQUE
+    children: list[list[int]] = [[] for _ in ranks]
+    for child, parent in enumerate(parents):
+        if parent is not None:
+            children[parent].append(child)
+    # With no parent for the target and one for everyone else, the walk
+    # meets each candidate it reaches exactly once.
+    reached = 1
+    stack = [target]
+    while stack:
+        x = stack.pop()
+        row = weights[x]
+        rank = ranks[x]
+        below = children[x]
+        for y in below:
+            value = row[y] + (coalition_weight if rank > ranks[y] else down)
+            if value < entry or (strict and value == entry):
+                return False
+        reached += len(below)
+        stack.extend(below)
+    return reached == len(ranks)
+
+
 def _reaches_goal(graph: MajorityGraph, target: int, mode: Mode) -> bool:
     """Test the target's winner status on a finished graph under the mode."""
     if mode is Mode.UNIQUE:
@@ -357,7 +419,11 @@ def solve_wcm(instance: ManipulationInstance) -> ManipulationOutcome:
     manipulators. No manipulators: whether the target already holds the
     required status, with no ballot. Otherwise the bound function decides,
     and on yes the constructed ballot is verified against the stated goal
-    before being returned; all manipulators cast that same ballot.
+    before being returned; all manipulators cast that same ballot. The
+    spanning tree's O(m) certificate verifies it first; only when the
+    certificate cannot settle the goal is the final election built and its
+    winner status checked in full, and a ballot failing that check raises
+    InternalInvariantError.
     """
     profile = instance.profile
     target = instance.target
@@ -388,9 +454,12 @@ def solve_wcm(instance: ManipulationInstance) -> ManipulationOutcome:
         admissible = build_admissible_graph(graph, bounds, coalition_weight)
         parents = spanning_arborescence(admissible, target)
         vote = construct_manipulator_vote(parents, bounds)
-        final = overlay_identical_manipulators(graph, vote, coalition_weight)
-        if not _reaches_goal(final, target, mode):
-            raise InternalInvariantError(
-                "constructed ballot failed the final winner check"
-            )
+        if not _tree_certifies_goal(
+            graph, target, vote, parents, coalition_weight, mode
+        ):
+            final = overlay_identical_manipulators(graph, vote, coalition_weight)
+            if not _reaches_goal(final, target, mode):
+                raise InternalInvariantError(
+                    "constructed ballot failed the final winner check"
+                )
     return ManipulationOutcome(decision, vote, bounds, applications)

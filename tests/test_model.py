@@ -197,6 +197,22 @@ def test_instance_validation():
     assert inst.coalition_weight == 3 and inst.mode is Mode.UNIQUE
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightedBallot(Ranking((1, 2)), True),
+        lambda: ManipulationInstance(WeightedProfile(AB, ()), (True,), 0),
+        lambda: model._check_coalition_weight(True),
+    ],
+    ids=["ballot", "manipulators", "coalition"],
+)
+def test_bool_weights_are_rejected(build):
+    # bool is an int subclass, and serialize_election would write a True
+    # weight as "True", which the parser rejects.
+    with pytest.raises(ValueError, match="int"):
+        build()
+
+
 def test_capacity_caps():
     two = CandidateSet(("a", "b"))
     big = WeightedBallot(Ranking((2, 1)), INT64_MAX)
@@ -257,11 +273,9 @@ def test_overlay_rejects_bad_arguments():
         overlay_identical_manipulators(graph, Ranking((1, 2)), 1)
     with pytest.raises(ValueError):
         overlay_identical_manipulators(graph, Ranking((1, 2, 3)), -1)
-    for weight in (1.5, "3"):
+    for weight in (1.5, "3", True):
         with pytest.raises(ValueError, match="must be an int"):
             overlay_identical_manipulators(graph, Ranking((1, 2, 3)), weight)
-    overlaid = overlay_identical_manipulators(graph, Ranking((1, 2, 3)), True)
-    assert overlaid.weights[2][0] == 1
 
 
 @given(profiles())

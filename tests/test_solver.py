@@ -35,6 +35,7 @@ from schulze_wcm import (
     decide_manipulable,
     format_vote,
     overlay_identical_manipulators,
+    parse_election_file,
     solve_wcm,
     spanning_arborescence,
     verify_manipulation,
@@ -585,8 +586,25 @@ def test_self_check_guards_every_yes_answer(monkeypatch, mode, attr, failing):
     profile = WeightedProfile(CXY, (ballot([0, 1, 2], 1),))
     instance = ManipulationInstance(profile, (2,), 0, mode)
     assert solve_wcm(instance).decision
+    # A certified ballot never reaches the status function; with the
+    # certificate failing too, the full check decides and must raise.
+    monkeypatch.setattr(solver, "_tree_certifies_goal", lambda *args: False)
     monkeypatch.setattr(solver, attr, failing)
     with pytest.raises(InternalInvariantError):
+        solve_wcm(instance)
+
+
+@pytest.mark.parametrize("mode", [Mode.UNIQUE, Mode.COWINNER])
+def test_losing_ballot_fails_the_self_check(monkeypatch, mode):
+    # The coalition ranks the target last, so c loses to x by 1 - 2 and
+    # neither the certificate nor the full check may pass the ballot.
+    profile = WeightedProfile(CXY, (ballot([0, 1, 2], 1),))
+    instance = ManipulationInstance(profile, (2,), 0, mode)
+    losing = Ranking.from_order([1, 2, 0])
+    monkeypatch.setattr(
+        solver, "construct_manipulator_vote", lambda parents, bounds: losing
+    )
+    with pytest.raises(InternalInvariantError, match="final winner check"):
         solve_wcm(instance)
 
 
@@ -618,6 +636,142 @@ def test_verify_manipulation_examples():
     assert verify_manipulation(single, Ranking((1,)))
     with pytest.raises(ValueError):
         verify_manipulation(instance, Ranking((1, 2, 3)))
+
+
+# ---------------------------------------------------------- tree certificate
+
+
+def final_reaches_goal(graph, target, vote, coalition_weight, mode):
+    final = overlay_identical_manipulators(graph, vote, coalition_weight)
+    return solver._reaches_goal(final, target, mode)
+
+
+def random_parents(rng, m, target, order):
+    """A parent for every candidate but the target.
+
+    Mostly trees rooted at the target, grown in vote order or in a random
+    order; sometimes any parent at all, which may leave a cycle detached
+    from the target.
+    """
+    parents = [None] * m
+    others = [x for x in order if x != target]
+    pick = rng.random()
+    if pick < 0.2:
+        for x in others:
+            parents[x] = rng.choice([y for y in range(m) if y != x])
+        return tuple(parents)
+    if pick < 0.6:
+        rng.shuffle(others)
+    placed = [target]
+    for x in others:
+        parents[x] = rng.choice(placed)
+        placed.append(x)
+    return tuple(parents)
+
+
+def certificate_case(rng):
+    """(graph, target, vote, parents, coalition weight, mode), drawn widely.
+
+    A quarter of the cases are the solver's own ballot and tree on a YES
+    instance; the rest pair any vote with any parents.
+    """
+    m = rng.randint(2, 10)
+    if rng.random() < 0.5:
+        graph = random_skew_graph(rng, m, magnitude=rng.choice((1, 2, 5, 20)))
+    else:
+        graph = build_majority_graph(random_profile(rng, m, ballots=(1, 8)))
+    target = rng.randrange(m)
+    coalition_weight = rng.randint(1, 20)
+    mode = rng.choice(list(Mode))
+    if rng.random() < 0.25:
+        bounds, _ = compute_bound_function(graph, target, coalition_weight, mode)
+        if decide_manipulable(graph, bounds, coalition_weight):
+            admissible = build_admissible_graph(graph, bounds, coalition_weight)
+            parents = spanning_arborescence(admissible, target)
+            vote = construct_manipulator_vote(parents, bounds)
+            return graph, target, vote, parents, coalition_weight, mode
+    order = rng.sample(range(m), m)
+    if rng.random() < 0.5:
+        order.remove(target)
+        order.insert(0, target)
+    parents = random_parents(rng, m, target, order)
+    return graph, target, Ranking.from_order(order), parents, coalition_weight, mode
+
+
+def test_tree_certificate_is_sound():
+    rng = random.Random(20)
+    certified = 0
+    for _ in range(6000):
+        graph, target, vote, parents, coalition_weight, mode = certificate_case(rng)
+        if solver._tree_certifies_goal(
+            graph, target, vote, parents, coalition_weight, mode
+        ):
+            certified += 1
+            assert final_reaches_goal(graph, target, vote, coalition_weight, mode)
+    # The certificate must hold often enough for the implication to mean much.
+    assert certified >= 1500
+
+
+@pytest.mark.parametrize("mode", [Mode.UNIQUE, Mode.COWINNER])
+def test_cycle_detached_from_the_target_fails_the_certificate(mode):
+    # a, b and c parent each other in a cycle the target never reaches. Every
+    # cycle entry (4 or 6) beats the heaviest entry into the target (1), yet
+    # the target, ranked last, loses: no tree path backs those floors.
+    graph = MajorityGraph(
+        CandidateSet(("t", "a", "b", "c")),
+        ((0, 0, 0, 0), (0, 0, 5, -5), (0, -5, 0, 5), (0, 5, -5, 0)),
+    )
+    vote = Ranking.from_order([1, 2, 3, 0])
+    parents = (None, 3, 1, 2)
+    assert not final_reaches_goal(graph, 0, vote, 1, mode)
+    assert not solver._tree_certifies_goal(graph, 0, vote, parents, 1, mode)
+
+
+FALLBACK_PINS = {
+    Mode.COWINNER: (
+        "candidates: a b c d\n"
+        "ballot 2: a > d > c > b\n"
+        "ballot 1: a > b > d > c\n"
+        "ballot 1: b > d > c > a\n"
+        "manipulators: 1 1\n"
+        "target: c\n"
+    ),
+    Mode.UNIQUE: (
+        "candidates: a b c d\n"
+        "ballot 2: a > b > d > c\n"
+        "ballot 1: d > b > c > a\n"
+        "ballot 2: c > d > a > b\n"
+        "manipulators: 2\n"
+        "target: b\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(FALLBACK_PINS), ids=lambda mode: mode.value)
+def test_full_check_settles_what_the_certificate_cannot(monkeypatch, mode):
+    instance = dataclasses.replace(
+        parse_election_file(FALLBACK_PINS[mode]), mode=mode
+    )
+    graph = build_majority_graph(instance.profile)
+    weight = instance.coalition_weight
+    bounds, _ = compute_bound_function(graph, instance.target, weight, mode)
+    admissible = build_admissible_graph(graph, bounds, weight)
+    parents = spanning_arborescence(admissible, instance.target)
+    vote = construct_manipulator_vote(parents, bounds)
+    assert not solver._tree_certifies_goal(
+        graph, instance.target, vote, parents, weight, mode
+    )
+    checks = []
+    full_check = solver._reaches_goal
+
+    def counted(*args):
+        checks.append(args)
+        return full_check(*args)
+
+    monkeypatch.setattr(solver, "_reaches_goal", counted)
+    outcome = solve_wcm(instance)
+    assert outcome.decision and outcome.vote == vote
+    assert len(checks) == 1
 
 
 # ------------------------------------------------------ randomized properties
