@@ -9,9 +9,13 @@ candidates in both decision modes: majority graphs of random profiles with
 magnitude at most 2. On every YES decision it also runs the rest of the
 solve (tree, ballot, tree certificate) and checks the final election in full
 whatever the certificate says; it prints the share of YES answers the
-certificate settled. A scan difference, or a constructed ballot that fails
-the full check whether certified or not, is printed, and the script exits
-nonzero.
+certificate settled. As the solver's own ballots always win, each YES case
+also probes the certificate where it may have to say no: the same ballot and
+tree at coalition weights W - 1 and W // 2, and a random ballot with a random
+tree rooted at the target at W. Every probe the certificate accepts is
+checked in full. A scan difference, a constructed ballot that fails the full
+check whether certified or not, or a certified probe that fails it, is
+printed, and the script exits nonzero.
 
 Usage: python3 scripts/scan_audit.py [--sizes 100 200 400] [--seed S]
 """
@@ -34,7 +38,11 @@ from schulze_wcm.model import (  # noqa: E402
     build_majority_graph,
     overlay_identical_manipulators,
 )
-from schulze_wcm.sampling import random_profile, random_skew_graph  # noqa: E402
+from schulze_wcm.sampling import (  # noqa: E402
+    random_profile,
+    random_ranking,
+    random_skew_graph,
+)
 from schulze_wcm.solver import (  # noqa: E402
     INF,
     _reaches_goal,
@@ -96,10 +104,37 @@ def graphs(rng: random.Random, m: int):
         yield f"skew-{magnitude}", random_skew_graph(rng, m, magnitude=magnitude)
 
 
-def audit(graph, target: int, coalition_weight: int, mode: Mode):
-    """(scans match, YES tail), the tail None on NO, else (certified, reaches).
+def random_tree(rng: random.Random, m: int, target: int) -> tuple[int | None, ...]:
+    """Parents of a random tree rooted at the target: each joins an earlier node."""
+    order = [target] + rng.sample([x for x in range(m) if x != target], m - 1)
+    parents: list[int | None] = [None] * m
+    for position in range(1, m):
+        parents[order[position]] = order[rng.randrange(position)]
+    return tuple(parents)
 
-    reaches is the full check of the final election, run on every YES.
+
+def probe_certificate(rng, graph, target, vote, parents, coalition_weight, mode):
+    """(probes certified, certified probes that fail the full check)."""
+    m = len(graph.candidates)
+    probes = [
+        (vote, parents, coalition_weight - 1),
+        (vote, parents, coalition_weight // 2),
+        (random_ranking(rng, m), random_tree(rng, m, target), coalition_weight),
+    ]
+    certified = unsound = 0
+    for probe_vote, probe_parents, weight in probes:
+        if _tree_certifies_goal(graph, target, probe_vote, probe_parents, weight, mode):
+            certified += 1
+            final = overlay_identical_manipulators(graph, probe_vote, weight)
+            unsound += not _reaches_goal(final, target, mode)
+    return certified, unsound
+
+
+def audit(graph, target: int, coalition_weight: int, mode: Mode, rng: random.Random):
+    """(scans match, YES tail), the tail None on NO, else (certified, reaches, probes).
+
+    reaches is the full check of the final election, run on every YES;
+    probes is what probe_certificate returns.
     """
     weights = graph.weights
     bounds, applications = compute_bound_function(
@@ -117,7 +152,10 @@ def audit(graph, target: int, coalition_weight: int, mode: Mode):
         graph, target, vote, parents, coalition_weight, mode
     )
     final = overlay_identical_manipulators(graph, vote, coalition_weight)
-    return same, (certified, _reaches_goal(final, target, mode))
+    probes = probe_certificate(
+        rng, graph, target, vote, parents, coalition_weight, mode
+    )
+    return same, (certified, _reaches_goal(final, target, mode), probes)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -127,11 +165,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
+    # The probes draw from their own stream, so the cases stay those of the seed.
+    probe_rng = random.Random(f"probes-{args.seed}")
     checked = 0
     mismatches = 0
     yes = 0
     certified = 0
     failed = 0
+    probes_certified = 0
+    unsound = 0
     start = time.perf_counter()
     for m in args.sizes:
         for kind, graph in graphs(rng, m):
@@ -139,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
             coalitions = (1, rng.randint(2, 40), rng.randint(41, 900))
             for target, coalition_weight, mode in product(targets, coalitions, Mode):
                 checked += 1
-                same, tail = audit(graph, target, coalition_weight, mode)
+                same, tail = audit(graph, target, coalition_weight, mode, probe_rng)
                 case = (
                     f"m={m} {kind} target={target}"
                     f" coalition={coalition_weight} mode={mode.value}"
@@ -149,11 +191,16 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"mismatch: {case}")
                 if tail is not None:
                     yes += 1
-                    certified += tail[0]
-                    if not tail[1]:
+                    settled, reaches, (accepted, wrong) = tail
+                    certified += settled
+                    if not reaches:
                         failed += 1
-                        verdict = "certified" if tail[0] else "uncertified"
+                        verdict = "certified" if settled else "uncertified"
                         print(f"{verdict} ballot fails the full check: {case}")
+                    probes_certified += accepted
+                    if wrong:
+                        unsound += wrong
+                        print(f"{wrong} certified probes fail the full check: {case}")
     elapsed = time.perf_counter() - start
 
     print(f"{checked} solves checked in {elapsed:.2f}s: {mismatches} mismatches")
@@ -161,7 +208,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{yes} YES answers: {certified} settled by the tree certificate,"
         f" {yes - certified} by the full check; {failed} ballots fail the full check"
     )
-    return 1 if mismatches or failed else 0
+    print(
+        f"{3 * yes} certificate probes: {probes_certified} certified,"
+        f" {unsound} of them fail the full check"
+    )
+    return 1 if mismatches or failed or unsound else 0
 
 
 if __name__ == "__main__":

@@ -30,9 +30,11 @@ from .model import (
     INT64_MAX,
     CandidateSet,
     ManipulationInstance,
+    Mode,
     Ranking,
     WeightedBallot,
     WeightedProfile,
+    _proven,
 )
 
 _LABEL = re.compile(r"^[A-Za-z0-9_-]+\Z")
@@ -72,7 +74,7 @@ def _parse_ranking(
         for rank, candidate in zip(range(m, 0, -1), ids):
             ranks[candidate] = rank
         if 0 not in ranks:
-            return Ranking(tuple(ranks))
+            return _proven(Ranking, tuple(ranks))
     parts = [part.strip() for part in text.split(">")]
     if any(not part for part in parts):
         raise ParseError("empty entry in ranking", line)
@@ -86,7 +88,7 @@ def _parse_ranking(
         ranks[candidate] = m - position
     if len(parts) != m:
         raise ParseError(f"ranking covers {len(parts)} of {m} candidates", line)
-    return Ranking(tuple(ranks))
+    return _proven(Ranking, tuple(ranks))
 
 
 def _lookup(label: str, index: dict[str, int], line: int | None) -> int:
@@ -136,7 +138,7 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
                 raise ParseError("candidates line must precede ballots", number)
             weight = _parse_weight(match.group(1), "ballot", number)
             ranking = _parse_ranking(match.group(2), index, len(index), number)
-            ballots.append(WeightedBallot(ranking, weight))
+            ballots.append(_proven(WeightedBallot, ranking, weight))
             total += weight
             if total > INT64_MAX:
                 raise ParseError(
@@ -176,11 +178,12 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
             "total election weight exceeds the signed 64-bit cap", manipulators_line
         )
 
-    profile = WeightedProfile(candidates, tuple(ballots))
+    # The checks above prove what the constructors would check again.
+    profile = _proven(WeightedProfile, candidates, tuple(ballots))
     if manipulators is None:
         return profile
     assert target is not None
-    return ManipulationInstance(profile, manipulators, target)
+    return _proven(ManipulationInstance, profile, manipulators, target, Mode.UNIQUE)
 
 
 def parse_vote(text: str, candidates: CandidateSet) -> Ranking:

@@ -25,7 +25,7 @@ import operator
 from itertools import chain
 from typing import Sequence
 
-from .model import InternalInvariantError, MajorityGraph
+from .model import InternalInvariantError, MajorityGraph, _check_index
 
 
 def widest_path_strengths(weights: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -102,10 +102,7 @@ def widest_from(
     not the number of rows.
     """
     m = len(weights)
-    if not isinstance(source, int):
-        raise ValueError(f"source index must be an int, got {source!r}")
-    if not 0 <= source < m:
-        raise ValueError(f"source index {source} out of range")
+    _check_index(source, m, "source")
     if any(map(m.__ne__, map(len, weights))):
         raise ValueError(f"weight matrix must be {m}x{m}")
     if caps is None:

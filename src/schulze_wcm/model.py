@@ -75,6 +75,34 @@ class InternalInvariantError(RuntimeError):
     """
 
 
+def _proven(cls, *values):
+    """An instance of dataclass cls from every field value, skipping its checks.
+
+    Only for producers that have already proved the invariants the public
+    constructor checks, and pass each field already as a tuple where one is due.
+    """
+    instance = object.__new__(cls)
+    instance.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return instance
+
+
+def _check_index(index: int, m: int, what: str) -> None:
+    """Reject an index that is not an int in 0..m-1."""
+    if not isinstance(index, int):
+        raise ValueError(f"{what} index must be an int, got {index!r}")
+    if not 0 <= index < m:
+        raise ValueError(f"{what} index {index} out of range")
+
+
+def _check_weight(weight: int, what: str, least: int) -> None:
+    """Reject a weight that is not an int >= least, or is a bool."""
+    # bool is an int subclass, but True would be written back as "True".
+    if not isinstance(weight, int) or isinstance(weight, bool):
+        raise ValueError(f"{what} must be an int, got {weight!r}")
+    if weight < least:
+        raise ValueError(f"{what} must be >= {least}")
+
+
 class Mode(enum.Enum):
     """Winner notion a manipulation aims for.
 
@@ -123,8 +151,7 @@ class Ranking:
         if sorted(self.ranks) != list(range(1, m + 1)):
             raise ValueError("ranks must be a bijection onto 1..m")
         # The ranks now compare equal to 1..m, so their sum is an int unless
-        # one is a float, Fraction or other non-int number. The sum runs in
-        # C, a small cost beside the sort on every parsed ballot.
+        # one is a float, Fraction or other non-int number.
         if type(sum(self.ranks)) is not int:
             raise ValueError("ranks must be ints")
 
@@ -139,7 +166,7 @@ class Ranking:
         ranks = [0] * m
         for position, candidate in enumerate(order):
             ranks[candidate] = m - position
-        return cls(tuple(ranks))
+        return _proven(cls, tuple(ranks))
 
     def order(self) -> tuple[int, ...]:
         """Candidate indices, most preferred first."""
@@ -159,11 +186,7 @@ class WeightedBallot:
     def __post_init__(self) -> None:
         if not isinstance(self.ranking, Ranking):
             raise ValueError(f"ballot ranking must be a Ranking, got {self.ranking!r}")
-        # bool is an int subclass, but True would be written back as "True".
-        if not isinstance(self.weight, int) or isinstance(self.weight, bool):
-            raise ValueError(f"ballot weight must be an int, got {self.weight!r}")
-        if self.weight < 1:
-            raise ValueError("ballot weight must be >= 1")
+        _check_weight(self.weight, "ballot weight", 1)
 
 
 @dataclass(frozen=True)
@@ -212,15 +235,9 @@ class ManipulationInstance:
         )
         if not isinstance(self.profile, WeightedProfile):
             raise ValueError(f"profile must be a WeightedProfile, got {self.profile!r}")
-        if not isinstance(self.target, int):
-            raise ValueError(f"target index must be an int, got {self.target!r}")
-        if not 0 <= self.target < len(self.profile.candidates):
-            raise ValueError(f"target index {self.target} out of range")
+        _check_index(self.target, len(self.profile.candidates), "target")
         for weight in self.manipulator_weights:
-            if not isinstance(weight, int) or isinstance(weight, bool):
-                raise ValueError(f"manipulator weights must be ints, got {weight!r}")
-            if weight < 1:
-                raise ValueError("manipulator weights must be >= 1")
+            _check_weight(weight, "manipulator weight", 1)
         if not isinstance(self.mode, Mode):
             raise ValueError(f"mode must be a Mode, got {self.mode!r}")
         if self.profile.total_weight + self.coalition_weight > INT64_MAX:
@@ -260,14 +277,6 @@ class MajorityGraph:
                     raise ValueError("weight matrix must be skew-symmetric")
                 if abs(rows[x][y]) > INT64_MAX:
                     raise CapacityError("pairwise weight exceeds the signed 64-bit cap")
-
-
-def _check_coalition_weight(coalition_weight: int) -> None:
-    """Reject a coalition weight that is not an int >= 0, or is a bool."""
-    if not isinstance(coalition_weight, int) or isinstance(coalition_weight, bool):
-        raise ValueError(f"coalition weight must be an int, got {coalition_weight!r}")
-    if coalition_weight < 0:
-        raise ValueError("coalition weight must be >= 0")
 
 
 def _field_code(total: int) -> str:
@@ -338,9 +347,10 @@ def _lane_margins(
 def build_majority_graph(profile: WeightedProfile) -> MajorityGraph:
     """Accumulate the pairwise weight matrix of a profile.
 
-    Entry (x, y) is the signed weight margin of voters preferring x to y;
-    skew symmetry holds by construction. The layout is chosen as the module
-    docstring describes.
+    Entry (x, y) is the signed weight margin of voters preferring x to y.
+    Skew symmetry, the zero diagonal and the cap (|entry| <= total) hold by
+    construction, so the graph skips MajorityGraph's checks. The layout is
+    chosen as the module docstring describes.
     """
     m = len(profile.candidates)
     rankings = [ballot.ranking.ranks for ballot in profile.ballots]
@@ -350,7 +360,8 @@ def build_majority_graph(profile: WeightedProfile) -> MajorityGraph:
     per_step = _LANE_BALLOTS_PER_STEP + m // 3
     lanes = m < 128 and steps < 10 and len(weights) >= steps * per_step
     tally = _lane_margins if lanes else _row_margins
-    return MajorityGraph(profile.candidates, tally(m, rankings, weights, total))
+    rows = tally(m, rankings, weights, total)
+    return _proven(MajorityGraph, profile.candidates, tuple(map(tuple, rows)))
 
 
 def overlay_identical_manipulators(
@@ -366,8 +377,7 @@ def overlay_identical_manipulators(
         raise ValueError(f"vote must be a Ranking, got {vote!r}")
     if len(vote) != m:
         raise ValueError(f"vote ranks {len(vote)} candidates, graph has {m}")
-    _check_coalition_weight(coalition_weight)
-    # An entry pushed past the cap fails MajorityGraph's own check.
+    _check_weight(coalition_weight, "coalition weight", 0)
     rows = []
     for x, (row, rank) in enumerate(zip(graph.weights, vote.ranks)):
         out = [
@@ -375,5 +385,10 @@ def overlay_identical_manipulators(
             for weight, other in zip(row, vote.ranks)
         ]
         out[x] = 0
-        rows.append(out)
-    return MajorityGraph(graph.candidates, rows)
+        rows.append(tuple(out))
+    # The vote ranks exactly one of x, y above the other, so the shifted
+    # graph stays skew-symmetric with a zero diagonal, and its largest entry
+    # is its largest magnitude.
+    if max(map(max, rows)) > INT64_MAX:
+        raise CapacityError("pairwise weight exceeds the signed 64-bit cap")
+    return _proven(MajorityGraph, graph.candidates, tuple(rows))

@@ -2,8 +2,9 @@
 
 The oracle enumerates every possible assignment of manipulator ballots and
 reports whether any of them reaches the goal. It shares no code with the
-polynomial solver: winner status is recomputed here from scratch, so an
-agreement between the two routes is meaningful.
+polynomial solver: the pairwise tally and the winner status are recomputed
+here from scratch, with plain pair loops, so an agreement between the two
+routes is meaningful. Only the model's data types are shared.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .model import CapacityError, ManipulationInstance, Mode, Ranking, build_majority_graph
+from .model import CapacityError, ManipulationInstance, Mode, Ranking
 
 ENUMERATION_LIMIT = 10_000_000
 
@@ -86,7 +87,10 @@ def brute_force_wcm(
 
     unique = instance.mode is Mode.UNIQUE
     target = instance.target
-    base = [list(row) for row in build_majority_graph(profile).weights]
+    # Local tally, deliberately not build_majority_graph.
+    base = [[0] * m for _ in range(m)]
+    for ballot in profile.ballots:
+        _cast(base, _preference_pairs(ballot.ranking.ranks), ballot.weight)
 
     if not manipulator_weights:
         achieved = _target_wins(base, target, unique)

@@ -42,7 +42,9 @@ from .model import (
     ManipulationInstance,
     Mode,
     Ranking,
-    _check_coalition_weight,
+    _check_index,
+    _check_weight,
+    _proven,
     build_majority_graph,
     overlay_identical_manipulators,
 )
@@ -67,10 +69,7 @@ class BoundFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
-        if not isinstance(self.target, int):
-            raise ValueError(f"target index must be an int, got {self.target!r}")
-        if not 0 <= self.target < len(self.values):
-            raise ValueError(f"target index {self.target} out of range")
+        _check_index(self.target, len(self.values), "target")
         if not isinstance(self.mode, Mode):
             raise ValueError(f"mode must be a Mode, got {self.mode!r}")
         for x, value in enumerate(self.values):
@@ -125,11 +124,8 @@ def compute_bound_function(
     point and the number of individual rule applications.
     """
     m = len(graph.candidates)
-    if not isinstance(target, int):
-        raise ValueError(f"target index must be an int, got {target!r}")
-    if not 0 <= target < m:
-        raise ValueError(f"target index {target} out of range")
-    _check_coalition_weight(coalition_weight)
+    _check_index(target, m, "target")
+    _check_weight(coalition_weight, "coalition weight", 0)
 
     weights = graph.weights
     # A row's maximum bounds every edge leaving it, the zero diagonal
@@ -203,7 +199,7 @@ def decide_manipulable(
     enough. A single candidate is always manipulable.
     """
     _check_sizes(graph, bounds)
-    _check_coalition_weight(coalition_weight)
+    _check_weight(coalition_weight, "coalition weight", 0)
     target = bounds.target
     strict = bounds.mode is Mode.UNIQUE
     # The target's INF bound passes its own test against any finite threshold.
@@ -225,7 +221,7 @@ def build_admissible_graph(
     just those, found by one bisection into the candidates sorted by bound.
     """
     m = _check_sizes(graph, bounds)
-    _check_coalition_weight(coalition_weight)
+    _check_weight(coalition_weight, "coalition weight", 0)
     values = bounds.values
     # min(bound(x), weight(x, y) + coalition) >= bound(y) splits into
     # bound(y) <= bound(x), a prefix of heads, and weight(x, y) >= needs.
@@ -258,10 +254,7 @@ def spanning_arborescence(
     bug.
     """
     m = len(out_edges)
-    if not isinstance(root, int):
-        raise ValueError(f"root index must be an int, got {root!r}")
-    if not 0 <= root < m:
-        raise ValueError(f"root index {root} out of range for {m} candidates")
+    _check_index(root, m, "root")
     parents: list[int | None] = [None] * m
     seen = [False] * m
     seen[root] = True
@@ -312,10 +305,7 @@ def construct_manipulator_vote(
     children: list[list[int]] = [[] for _ in range(m)]
     for child, parent in enumerate(parents):
         if parent is not None:
-            if not isinstance(parent, int):
-                raise ValueError(f"parent index must be an int, got {parent!r}")
-            if not 0 <= parent < m:
-                raise ValueError(f"parent index {parent} out of range")
+            _check_index(parent, m, "parent")
             if values[parent] < values[child]:
                 raise ValueError("tree edge ascends the bound function")
             children[parent].append(child)
@@ -330,10 +320,11 @@ def construct_manipulator_vote(
         for child in children[x]:
             heapq.heappush(ready, (-values[child], child))
     # Every other candidate has one parent, so one left unranked hangs under a
-    # missing parent or on a parent cycle detached from the target.
+    # missing parent or on a parent cycle detached from the target. Each
+    # candidate is pushed at most once, so m pops give ranks a bijection.
     if rank:
         raise ValueError("tree does not span the candidates from the target")
-    return Ranking(tuple(ranks))
+    return _proven(Ranking, tuple(ranks))
 
 
 def _tree_certifies_goal(

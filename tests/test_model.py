@@ -202,7 +202,7 @@ def test_instance_validation():
     [
         lambda: WeightedBallot(Ranking((1, 2)), True),
         lambda: ManipulationInstance(WeightedProfile(AB, ()), (True,), 0),
-        lambda: model._check_coalition_weight(True),
+        lambda: model._check_weight(True, "coalition weight", 0),
     ],
     ids=["ballot", "manipulators", "coalition"],
 )
