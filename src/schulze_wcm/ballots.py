@@ -16,10 +16,19 @@ and a target line parses to a ManipulationInstance (in UNIQUE mode by
 default), a file carrying neither parses to a WeightedProfile, and anything
 in between is rejected.
 
-A ranking written with the canonical ' > ' separator, as serialize_election
-and format_vote write it, is accepted in bulk with one label-map pass. Any
-other ranking text, and canonical text that misses or repeats a candidate,
-falls back to the diagnosing loop, which reports the first fault in order.
+Two accept paths skip work that canonical text, as serialize_election and
+format_vote write it, does not need; each falls through to the diagnosing
+code, which reports the first fault in order, whenever it refuses:
+
+* line level: once the candidates line is read, a raw line that is exactly
+  "ballot <weight>: <ranking>", with a weight of 1 to 19 digits and no
+  leading zero or comment, skips the comment split, the strip and the
+  directive chain. A weight past the cap is refused.
+* ranking level: a ranking written with the ' > ' separator is accepted in
+  bulk with one label-map pass. Text that misses, repeats or pads a
+  candidate is refused.
+
+Both paths accept only text the diagnosing code accepts, with the same result.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ from .model import (
 
 _LABEL = re.compile(r"^[A-Za-z0-9_-]+\Z")
 _BALLOT = re.compile(r"^ballot\s+(\S+)\s*:\s*(.*)$")
+# A ballot line exactly as serialize_election writes it, for fullmatch.
+_CANONICAL_BALLOT = re.compile(r"ballot ([1-9][0-9]{0,18}): ([^#]*)")
 
 
 class ParseError(ValueError):
@@ -62,19 +73,33 @@ def _parse_weight(token: str, what: str, line: int) -> int:
     return weight
 
 
+def _accept(text: str, index: dict[str, int], descending: range) -> Ranking | None:
+    """The ranking canonical text spells, or None for the diagnosing loop.
+
+    A label in the map holds no whitespace and no '>', so accepted text is
+    exactly " > ".join(labels), which the loop accepts with the same ranks;
+    a repeat leaves a 0. descending is range(m, 0, -1).
+    """
+    labels = text.split(" > ")
+    if len(labels) != len(descending):
+        return None
+    ranks = [0] * len(labels)
+    try:
+        for rank, label in zip(descending, labels):
+            ranks[index[label]] = rank
+    except KeyError:
+        return None
+    if not all(ranks):
+        return None
+    return _proven(Ranking, tuple(ranks))
+
+
 def _parse_ranking(
     text: str, index: dict[str, int], m: int, line: int | None = None
 ) -> Ranking:
-    # Accept path for the canonical separator. A label in the map holds no
-    # whitespace and no '>', so accepted text is exactly " > ".join(labels),
-    # which the loop below accepts with the same ranks; a repeat leaves a 0.
-    ids = list(map(index.get, text.split(" > ")))
-    if len(ids) == m and None not in ids:
-        ranks = [0] * m
-        for rank, candidate in zip(range(m, 0, -1), ids):
-            ranks[candidate] = rank
-        if 0 not in ranks:
-            return _proven(Ranking, tuple(ranks))
+    ranking = _accept(text, index, range(m, 0, -1))
+    if ranking is not None:
+        return ranking
     parts = [part.strip() for part in text.split(">")]
     if any(not part for part in parts):
         raise ParseError("empty entry in ranking", line)
@@ -105,6 +130,7 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
     """Parse election text; all diagnostics carry 1-based line numbers."""
     candidates: CandidateSet | None = None
     index: dict[str, int] = {}
+    descending: range | None = None
     ballots: list[WeightedBallot] = []
     total = 0
     manipulators: tuple[int, ...] | None = None
@@ -113,24 +139,60 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
     target_line: int | None = None
 
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("candidates:"):
-            if candidates is not None:
-                raise ParseError("duplicate candidates line", number)
-            labels = line[len("candidates:") :].split()
-            if not labels:
-                raise ParseError("candidates line lists no labels", number)
-            for label in labels:
-                if not _LABEL.match(label):
-                    raise ParseError(f"malformed label {label!r}", number)
-            for position, label in enumerate(labels):
-                if label in index:
-                    raise ParseError(f"duplicate label {label!r}", number)
-                index[label] = position
-            candidates = CandidateSet(tuple(labels))
-        elif line.startswith("ballot"):
+        # A bare canonical ballot line, as serialize_election writes it, is
+        # accepted as it stands; any other line, and one whose weight or
+        # ranking the accept path refuses, takes the diagnosing chain below.
+        ranking = None
+        if descending is not None and (match := _CANONICAL_BALLOT.fullmatch(raw)):
+            weight = int(match[1])
+            if weight <= INT64_MAX:
+                ranking = _accept(match[2], index, descending)
+        if ranking is None:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("candidates:"):
+                if candidates is not None:
+                    raise ParseError("duplicate candidates line", number)
+                labels = line[len("candidates:") :].split()
+                if not labels:
+                    raise ParseError("candidates line lists no labels", number)
+                for label in labels:
+                    if not _LABEL.match(label):
+                        raise ParseError(f"malformed label {label!r}", number)
+                for position, label in enumerate(labels):
+                    if label in index:
+                        raise ParseError(f"duplicate label {label!r}", number)
+                    index[label] = position
+                candidates = CandidateSet(tuple(labels))
+                descending = range(len(labels), 0, -1)
+                continue
+            if line.startswith("manipulators:"):
+                if manipulators is not None:
+                    raise ParseError("duplicate manipulators line", number)
+                tokens = line[len("manipulators:") :].split()
+                if not tokens:
+                    raise ParseError("manipulators line lists no weights", number)
+                manipulators = tuple(
+                    _parse_weight(token, "manipulator", number) for token in tokens
+                )
+                manipulators_line = number
+                continue
+            if line.startswith("target:"):
+                if target is not None:
+                    raise ParseError("duplicate target line", number)
+                if candidates is None:
+                    raise ParseError("candidates line must precede target", number)
+                token = line[len("target:") :].strip()
+                if not token or len(token.split()) != 1:
+                    raise ParseError(
+                        "target line must name exactly one candidate", number
+                    )
+                target = _lookup(token, index, number)
+                target_line = number
+                continue
+            if not line.startswith("ballot"):
+                raise ParseError(f"unrecognized directive {line.split()[0]!r}", number)
             match = _BALLOT.match(line)
             if match is None:
                 raise ParseError("malformed ballot line", number)
@@ -138,34 +200,12 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
                 raise ParseError("candidates line must precede ballots", number)
             weight = _parse_weight(match.group(1), "ballot", number)
             ranking = _parse_ranking(match.group(2), index, len(index), number)
-            ballots.append(_proven(WeightedBallot, ranking, weight))
-            total += weight
-            if total > INT64_MAX:
-                raise ParseError(
-                    "total ballot weight exceeds the signed 64-bit cap", number
-                )
-        elif line.startswith("manipulators:"):
-            if manipulators is not None:
-                raise ParseError("duplicate manipulators line", number)
-            tokens = line[len("manipulators:") :].split()
-            if not tokens:
-                raise ParseError("manipulators line lists no weights", number)
-            manipulators = tuple(
-                _parse_weight(token, "manipulator", number) for token in tokens
+        ballots.append(_proven(WeightedBallot, ranking, weight))
+        total += weight
+        if total > INT64_MAX:
+            raise ParseError(
+                "total ballot weight exceeds the signed 64-bit cap", number
             )
-            manipulators_line = number
-        elif line.startswith("target:"):
-            if target is not None:
-                raise ParseError("duplicate target line", number)
-            if candidates is None:
-                raise ParseError("candidates line must precede target", number)
-            token = line[len("target:") :].strip()
-            if not token or len(token.split()) != 1:
-                raise ParseError("target line must name exactly one candidate", number)
-            target = _lookup(token, index, number)
-            target_line = number
-        else:
-            raise ParseError(f"unrecognized directive {line.split()[0]!r}", number)
 
     if candidates is None:
         raise ParseError("missing candidates line")
@@ -201,7 +241,7 @@ def format_vote(vote: Ranking, candidates: CandidateSet) -> str:
         raise ValueError(
             f"vote ranks {len(vote)} candidates, the set has {len(candidates)}"
         )
-    return " > ".join(candidates.labels[i] for i in vote.order())
+    return " > ".join(map(candidates.labels.__getitem__, vote.order()))
 
 
 def serialize_election(

@@ -9,7 +9,6 @@ internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -18,7 +17,13 @@ from typing import Sequence
 
 from .ballots import ParseError, format_vote, parse_election_file, parse_vote
 from .engine import _winners_from, schulze_winners, widest_path_strengths
-from .model import ManipulationInstance, Mode, WeightedProfile, build_majority_graph
+from .model import (
+    ManipulationInstance,
+    Mode,
+    WeightedProfile,
+    _proven,
+    build_majority_graph,
+)
 from .oracle import brute_force_wcm
 from .solver import INF, BoundFunction, solve_wcm, verify_manipulation
 
@@ -38,7 +43,14 @@ def _load_instance(path: str, mode: str) -> ManipulationInstance:
     parsed = _load(path)
     if not isinstance(parsed, ManipulationInstance):
         raise ValueError(f"{path} carries no manipulators/target lines")
-    return dataclasses.replace(parsed, mode=Mode(mode))
+    # The parser proved every other field, and Mode() checks the mode.
+    return _proven(
+        ManipulationInstance,
+        parsed.profile,
+        parsed.manipulator_weights,
+        parsed.target,
+        Mode(mode),
+    )
 
 
 def _bound_json(value: int | float) -> int | str:

@@ -76,13 +76,15 @@ class InternalInvariantError(RuntimeError):
 
 
 def _proven(cls, *values):
-    """An instance of dataclass cls from every field value, skipping its checks.
+    """An instance of slotted dataclass cls from every field value, skipping its checks.
 
-    Only for producers that have already proved the invariants the public
-    constructor checks, and pass each field already as a tuple where one is due.
+    Sets each slot in field order. Only for producers that have already proved
+    the invariants the public constructor checks, and pass each field already
+    as a tuple where one is due.
     """
     instance = object.__new__(cls)
-    instance.__dict__.update(zip(cls.__dataclass_fields__, values))
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(instance, name, value)
     return instance
 
 
@@ -114,7 +116,7 @@ class Mode(enum.Enum):
     COWINNER = "cowinner"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateSet:
     """Ordered, pairwise distinct labels; list position is the canonical index."""
 
@@ -134,7 +136,7 @@ class CandidateSet:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ranking:
     """Strict total order over m candidates, stored as rank positions.
 
@@ -170,13 +172,15 @@ class Ranking:
 
     def order(self) -> tuple[int, ...]:
         """Candidate indices, most preferred first."""
-        return tuple(sorted(range(len(self.ranks)), key=lambda i: -self.ranks[i]))
+        # Ranks are distinct, so the reversed stable sort is the strict order.
+        ranks = self.ranks
+        return tuple(sorted(range(len(ranks)), key=ranks.__getitem__, reverse=True))
 
     def __len__(self) -> int:
         return len(self.ranks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedBallot:
     """One ranking cast with a positive integer weight."""
 
@@ -189,7 +193,7 @@ class WeightedBallot:
         _check_weight(self.weight, "ballot weight", 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedProfile:
     """A candidate set plus the non-manipulators' weighted ballots."""
 
@@ -220,7 +224,7 @@ class WeightedProfile:
         return sum(ballot.weight for ballot in self.ballots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManipulationInstance:
     """A profile, the manipulators' weights, the target candidate, and the mode."""
 
@@ -248,7 +252,7 @@ class ManipulationInstance:
         return sum(self.manipulator_weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MajorityGraph:
     """Skew-symmetric integer pairwise weights on the complete digraph.
 

@@ -55,7 +55,7 @@ from .model import (
 INF = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundFunction:
     """Fixed-point ceilings on rival path strengths toward the target.
 
@@ -83,7 +83,7 @@ class BoundFunction:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManipulationOutcome:
     """Decision, optional coalition ballot, and the certificate behind them."""
 

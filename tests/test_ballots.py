@@ -143,6 +143,47 @@ def test_parser_writes_ranks_itself(monkeypatch):
     assert parse_vote("c > a > b", CandidateSet(("a", "b", "c"))).ranks == (2, 1, 3)
 
 
+# Ballot lines over a, b, c spelled off the canonical form, and canonical
+# lines the line-level accept path must refuse. Each expected value was
+# recorded before that path existed: the (ranks, weight) of every ballot, or
+# the diagnostic and its line. C_A_B is "c > a > b" at weight 2.
+C_A_B = ((2, 1, 3), 2)
+OVER_CAP = ("line 2: ballot weight exceeds the signed 64-bit cap", 2)
+TWICE = ("line 2: candidate 'a' ranked twice", 2)
+SPELLINGS = {
+    "padded": ("  ballot 2: c > a > b  ", (C_A_B,)),
+    "tab-after-ballot": ("ballot\t2: c > a > b", (C_A_B,)),
+    "trailing-comment": ("ballot 2: c > a > b  # note", (C_A_B,)),
+    "glued-comment": ("ballot 2: c > a > b#note", (C_A_B,)),
+    "leading-zero": ("ballot 02: c > a > b", (C_A_B,)),
+    "weight-at-cap": (f"ballot {INT64_MAX}: c > a > b", (((2, 1, 3), INT64_MAX),)),
+    "weight-past-cap": (f"ballot {INT64_MAX + 1}: c > a > b", OVER_CAP),
+    "twenty-digits": (f"ballot {10**19}: c > a > b", OVER_CAP),
+    "space-before-colon": ("ballot 2 : c > a > b", (C_A_B,)),
+    "crlf": ("ballot 2: c > a > b\r\nballot 1: a > b > c\r", (C_A_B, ((3, 2, 1), 1))),
+    "repeats": ("ballot 2: c > a > a", TWICE),
+    "misses": ("ballot 2: c > a", ("line 2: ranking covers 2 of 3 candidates", 2)),
+    "one-label-too-many": ("ballot 2: c > a > b > a", TWICE),
+    "unknown": ("ballot 2: c > a > z", ("line 2: unknown candidate label 'z'", 2)),
+    "pads-a-label": ("ballot 2: c > a  > b", (C_A_B,)),
+    "pads-the-first-label": ("ballot 2:  c > a > b", (C_A_B,)),
+    "weight-zero": ("ballot 0: c > a > b", ("line 2: ballot weight must be >= 1, got 0", 2)),
+    "total-past-cap": (
+        f"ballot {INT64_MAX}: c > a > b\nballot 1: a > b > c",
+        ("line 3: total ballot weight exceeds the signed 64-bit cap", 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("lines, expected", SPELLINGS.values(), ids=SPELLINGS)
+def test_ballot_line_spellings(lines, expected):
+    newline = "\r\n" if "\r" in lines else "\n"
+    outcome = _outcome(parse_election_file, f"candidates: a b c{newline}{lines}\n")
+    if isinstance(outcome, WeightedProfile):
+        outcome = tuple((ballot.ranking.ranks, ballot.weight) for ballot in outcome.ballots)
+    assert outcome == expected
+
+
 def test_missing_candidates_line():
     with pytest.raises(ParseError) as info:
         parse_election_file("# nothing here\n")
@@ -285,11 +326,13 @@ def test_canonical_profile_takes_the_accept_path(monkeypatch):
     text = serialize_election(profile)
     expected = parse_election_file(text)
 
-    def refuse(label, index, line):
-        raise AssertionError("diagnosing loop ran on canonical text")
+    def refuse(*args):
+        raise AssertionError("diagnosing chain ran on canonical text")
 
     with monkeypatch.context() as patch:
         patch.setattr(ballots, "_lookup", refuse)
+        patch.setattr(ballots, "_parse_ranking", refuse)
+        patch.setattr(ballots, "_BALLOT", None)
         assert parse_election_file(text) == expected
     assert expected == profile
     assert parse_election_file(text.replace(" > ", ">")) == expected

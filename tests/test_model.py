@@ -1,13 +1,15 @@
 """Core model: rankings, profiles, majority graphs, overlay."""
 
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schulze_wcm import model
+from schulze_wcm import model, solver
 
 from schulze_wcm import (
     INT64_MAX,
@@ -107,6 +109,15 @@ def test_ranking_roundtrip():
     r = Ranking.from_order([2, 0, 1])
     assert r.ranks == (2, 1, 3)
     assert r.order() == (2, 0, 1)
+
+
+def test_order_matches_the_sort_by_descending_rank():
+    rng = random.Random(40)
+    for m in range(1, 41):
+        for _ in range(5):
+            ranks = rng.sample(range(1, m + 1), m)
+            expected = tuple(sorted(range(m), key=lambda i: -ranks[i]))
+            assert Ranking(tuple(ranks)).order() == expected
 
 
 def test_ranking_rejects_non_bijection():
@@ -222,6 +233,65 @@ def test_capacity_caps():
     profile = WeightedProfile(two, (big,))
     with pytest.raises(CapacityError):
         ManipulationInstance(profile, (1,), 0)
+
+
+# ----------------------------------------------------------- value objects
+
+
+def value_samples():
+    """One valid instance of every dataclass in model and solver, with a
+    replacement the public checks reject and the error they raise."""
+    profile = WeightedProfile(ABC, (ballot([2, 0, 1], 2),))
+    instance = ManipulationInstance(profile, (1, 2), 1, Mode.COWINNER)
+    bounds = solver.BoundFunction((solver.INF, 3, 1), 0, Mode.UNIQUE)
+    return {
+        CandidateSet: (ABC, {"labels": ()}, ValueError),
+        Ranking: (Ranking((2, 1, 3)), {"ranks": (1, 1, 2)}, ValueError),
+        WeightedBallot: (ballot([1, 0], 2), {"weight": 0}, ValueError),
+        WeightedProfile: (profile, {"ballots": (ballot([1, 0], 1),)}, ValueError),
+        ManipulationInstance: (instance, {"target": 3}, ValueError),
+        MajorityGraph: (
+            build_majority_graph(profile),
+            {"weights": ((0, 1, 0), (1, 0, 0), (0, 0, 0))},
+            ValueError,
+        ),
+        solver.BoundFunction: (bounds, {"target": 3}, ValueError),
+        # The outcome checks nothing, so no replacement is rejected.
+        solver.ManipulationOutcome: (
+            solver.ManipulationOutcome(True, Ranking((3, 1, 2)), bounds, 4),
+            None,
+            None,
+        ),
+    }
+
+
+def test_value_samples_cover_every_dataclass():
+    found = {
+        value
+        for module in (model, solver)
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and is_dataclass(value)
+        and value.__module__ == module.__name__
+    }
+    assert found == set(value_samples())
+
+
+@pytest.mark.parametrize("cls", list(value_samples()), ids=lambda cls: cls.__name__)
+def test_value_objects_are_slotted_frozen_and_checked(cls):
+    value, bad, error = value_samples()[cls]
+    assert "__slots__" in vars(cls) and not hasattr(value, "__dict__")
+    for field in fields(value):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field.name, getattr(value, field.name))
+    if bad is not None:
+        with pytest.raises(error):
+            replace(value, **bad)
+    again = replace(value)
+    assert again == value and again is not value
+    assert hash(again) == hash(value)
+    assert hash(value) == hash(tuple(getattr(value, f.name) for f in fields(value)))
+    assert pickle.loads(pickle.dumps(value)) == value
 
 
 # ---------------------------------------------------------- majority graph

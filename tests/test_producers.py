@@ -1,19 +1,21 @@
 """Producers that skip the public checks must still hand out valid values.
 
-The parser, the tally, the overlay, `Ranking.from_order` and
-`construct_manipulator_vote` build their results without running the
-constructors' checks, because each has proved those facts already. These
-tests pass every such result back through the public constructors, nested
-values first, and require an equal object, so a producer that breaks an
-invariant fails here rather than somewhere downstream.
+The parser, the CLI's instance loader, the tally, the overlay,
+`Ranking.from_order` and `construct_manipulator_vote` build their results
+without running the constructors' checks, because each has proved those
+facts already. These tests pass every such result back through the public
+constructors, nested values first, and require an equal object, so a
+producer that breaks an invariant fails here rather than somewhere
+downstream.
 """
 
+import dataclasses
 import random
 from dataclasses import fields, is_dataclass
 
 import pytest
 
-from schulze_wcm import model
+from schulze_wcm import cli, model
 from schulze_wcm.ballots import (
     ParseError,
     parse_election_file,
@@ -33,7 +35,7 @@ from schulze_wcm.model import (
     build_majority_graph,
     overlay_identical_manipulators,
 )
-from schulze_wcm.sampling import random_profile, random_skew_graph
+from schulze_wcm.sampling import random_instance, random_profile, random_skew_graph
 from schulze_wcm.solver import (
     build_admissible_graph,
     compute_bound_function,
@@ -206,6 +208,21 @@ def test_parser_output_keeps_the_model_invariants():
         except ParseError:
             continue
         assert_proven(vote)
+
+
+@pytest.mark.parametrize("mode", ["unique", "cowinner"])
+def test_cli_instance_equals_the_public_replace(tmp_path, mode):
+    rng = random.Random(mode)
+    for i in range(30):
+        path = tmp_path / f"{i}.elect"
+        path.write_text(serialize_election(random_instance(rng)), encoding="utf-8")
+        loaded = cli._load_instance(str(path), mode)
+        parsed = parse_election_file(path.read_text(encoding="utf-8"))
+        assert loaded == dataclasses.replace(parsed, mode=Mode(mode))
+        assert loaded.mode is Mode(mode)
+        assert_proven(loaded)
+    with pytest.raises(ValueError):
+        cli._load_instance(str(path), "sole")
 
 
 def test_from_order_keeps_the_ranking_invariants():
