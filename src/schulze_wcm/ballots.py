@@ -16,19 +16,21 @@ and a target line parses to a ManipulationInstance (in UNIQUE mode by
 default), a file carrying neither parses to a WeightedProfile, and anything
 in between is rejected.
 
-Two accept paths skip work that canonical text, as serialize_election and
-format_vote write it, does not need; each falls through to the diagnosing
-code, which reports the first fault in order, whenever it refuses:
+Canonical text, as serialize_election and format_vote write it, skips work
+the diagnosing code needs only for other spellings:
 
-* line level: once the candidates line is read, a raw line that is exactly
-  "ballot <weight>: <ranking>", with a weight of 1 to 19 digits and no
-  leading zero or comment, skips the comment split, the strip and the
-  directive chain. A weight past the cap is refused.
-* ranking level: a ranking written with the ' > ' separator is accepted in
-  bulk with one label-map pass. Text that misses, repeats or pads a
-  candidate is refused.
+* once the candidates line is read, a raw line that opens with
+  "ballot <weight>: " and a label character, with a weight of 1 to 19
+  digits, no leading zero and no more than the cap, skips the comment
+  split, the strip and the directive chain: its text before any '#',
+  stripped at the right, is the ranking text the chain would read. Any
+  other line, a weight past the cap included, takes the chain.
+* a ranking written with the ' > ' separator, from either kind of line, is
+  accepted in bulk with one label-map pass. Text that misses, repeats or
+  pads a candidate goes to the diagnosing loop, which reports the first
+  fault in order.
 
-Both paths accept only text the diagnosing code accepts, with the same result.
+Both skips accept only text the diagnosing code accepts, with the same result.
 """
 
 from __future__ import annotations
@@ -48,8 +50,10 @@ from .model import (
 
 _LABEL = re.compile(r"^[A-Za-z0-9_-]+\Z")
 _BALLOT = re.compile(r"^ballot\s+(\S+)\s*:\s*(.*)$")
-# A ballot line exactly as serialize_election writes it, for fullmatch.
-_CANONICAL_BALLOT = re.compile(r"ballot ([1-9][0-9]{0,18}): ([^#]*)")
+# The start of a ballot line as serialize_election writes it, for match: a
+# weight with no leading zero and a ranking that opens with a label
+# character. The ranking group stops at a comment and never backtracks.
+_CANONICAL_BALLOT = re.compile(r"ballot ([1-9][0-9]{0,18}): ([A-Za-z0-9_-][^#]*)")
 
 
 class ParseError(ValueError):
@@ -97,9 +101,6 @@ def _accept(text: str, index: dict[str, int], descending: range) -> Ranking | No
 def _parse_ranking(
     text: str, index: dict[str, int], m: int, line: int | None = None
 ) -> Ranking:
-    ranking = _accept(text, index, range(m, 0, -1))
-    if ranking is not None:
-        return ranking
     parts = [part.strip() for part in text.split(">")]
     if any(not part for part in parts):
         raise ParseError("empty entry in ranking", line)
@@ -130,7 +131,7 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
     """Parse election text; all diagnostics carry 1-based line numbers."""
     candidates: CandidateSet | None = None
     index: dict[str, int] = {}
-    descending: range | None = None
+    descending = range(0)
     ballots: list[WeightedBallot] = []
     total = 0
     manipulators: tuple[int, ...] | None = None
@@ -139,15 +140,13 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
     target_line: int | None = None
 
     for number, raw in enumerate(text.splitlines(), start=1):
-        # A bare canonical ballot line, as serialize_election writes it, is
-        # accepted as it stands; any other line, and one whose weight or
-        # ranking the accept path refuses, takes the diagnosing chain below.
-        ranking = None
-        if descending is not None and (match := _CANONICAL_BALLOT.fullmatch(raw)):
-            weight = int(match[1])
-            if weight <= INT64_MAX:
-                ranking = _accept(match[2], index, descending)
-        if ranking is None:
+        # A ballot line that opens canonically, with a weight within the cap,
+        # skips the directive chain: its text before any comment, stripped at
+        # the right, is the ranking text the chain would read.
+        canonical = _CANONICAL_BALLOT.match(raw) if candidates is not None else None
+        if canonical is not None and (weight := int(canonical[1])) <= INT64_MAX:
+            spelled = canonical[2].rstrip()
+        else:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -199,7 +198,10 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
             if candidates is None:
                 raise ParseError("candidates line must precede ballots", number)
             weight = _parse_weight(match.group(1), "ballot", number)
-            ranking = _parse_ranking(match.group(2), index, len(index), number)
+            spelled = match.group(2)
+        ranking = _accept(spelled, index, descending)
+        if ranking is None:
+            ranking = _parse_ranking(spelled, index, len(index), number)
         ballots.append(_proven(WeightedBallot, ranking, weight))
         total += weight
         if total > INT64_MAX:

@@ -144,9 +144,9 @@ def test_parser_writes_ranks_itself(monkeypatch):
 
 
 # Ballot lines over a, b, c spelled off the canonical form, and canonical
-# lines the line-level accept path must refuse. Each expected value was
-# recorded before that path existed: the (ranks, weight) of every ballot, or
-# the diagnostic and its line. C_A_B is "c > a > b" at weight 2.
+# lines whose ranking the bulk accept must refuse. Each expected value was
+# recorded before the line-level skip existed: the (ranks, weight) of every
+# ballot, or the diagnostic and its line. C_A_B is "c > a > b" at weight 2.
 C_A_B = ((2, 1, 3), 2)
 OVER_CAP = ("line 2: ballot weight exceeds the signed 64-bit cap", 2)
 TWICE = ("line 2: candidate 'a' ranked twice", 2)
@@ -155,6 +155,12 @@ SPELLINGS = {
     "tab-after-ballot": ("ballot\t2: c > a > b", (C_A_B,)),
     "trailing-comment": ("ballot 2: c > a > b  # note", (C_A_B,)),
     "glued-comment": ("ballot 2: c > a > b#note", (C_A_B,)),
+    "comment-holds-a-ranking": ("ballot 2: c > a > b # a > b > c", (C_A_B,)),
+    "comment-after-one-label": (
+        "ballot 2: c # > a > b",
+        ("line 2: ranking covers 1 of 3 candidates", 2),
+    ),
+    "comment-opens-ranking": ("ballot 2: #c > a > b", ("line 2: empty entry in ranking", 2)),
     "leading-zero": ("ballot 02: c > a > b", (C_A_B,)),
     "weight-at-cap": (f"ballot {INT64_MAX}: c > a > b", (((2, 1, 3), INT64_MAX),)),
     "weight-past-cap": (f"ballot {INT64_MAX + 1}: c > a > b", OVER_CAP),
@@ -167,6 +173,14 @@ SPELLINGS = {
     "unknown": ("ballot 2: c > a > z", ("line 2: unknown candidate label 'z'", 2)),
     "pads-a-label": ("ballot 2: c > a  > b", (C_A_B,)),
     "pads-the-first-label": ("ballot 2:  c > a > b", (C_A_B,)),
+    "trailing-spaces": ("ballot 2: c > a > b  ", (C_A_B,)),
+    "trailing-no-break-space": ("ballot 2: c > a > b\u00a0", (C_A_B,)),
+    "colon-opens-ranking": (
+        "ballot 2: :c > a > b",
+        ("line 2: ballot weight '2:' is not a decimal integer", 2),
+    ),
+    "colon-closes-ranking": ("ballot 2: c > a > b:", ("line 2: malformed label 'b:'", 2)),
+    "non-ascii-label": ("ballot 2: \u00e9 > a > b", ("line 2: malformed label '\u00e9'", 2)),
     "weight-zero": ("ballot 0: c > a > b", ("line 2: ballot weight must be >= 1, got 0", 2)),
     "total-past-cap": (
         f"ballot {INT64_MAX}: c > a > b\nballot 1: a > b > c",
@@ -329,10 +343,15 @@ def test_canonical_profile_takes_the_accept_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("diagnosing chain ran on canonical text")
 
+    commented = "\n".join(
+        f"{line} \t# note" if line.startswith("ballot") else line
+        for line in text.splitlines()
+    )
     with monkeypatch.context() as patch:
         patch.setattr(ballots, "_lookup", refuse)
         patch.setattr(ballots, "_parse_ranking", refuse)
         patch.setattr(ballots, "_BALLOT", None)
         assert parse_election_file(text) == expected
+        assert parse_election_file(commented) == expected
     assert expected == profile
     assert parse_election_file(text.replace(" > ", ">")) == expected
