@@ -1,4 +1,4 @@
-"""Cross-check the solver's restricted scans and its tree certificate.
+"""Cross-check the solver's restricted scans, its tree certificate and the strength kernel.
 
 `compute_bound_function` runs its transfer scan over the rivals that can
 still lower someone, and `build_admissible_graph` tests only the heads whose
@@ -13,8 +13,16 @@ certificate settled. As the solver's own ballots always win, each YES case
 also probes the certificate where it may have to say no: the same ballot and
 tree at coalition weights W - 1 and W // 2, and a random ballot with a random
 tree rooted at the target at W. Every probe the certificate accepts is
-checked in full. A scan difference, a constructed ballot that fails the full
-check whether certified or not, or a certified probe that fails it, is
+checked in full.
+
+The all-pairs strength kernel is audited on each of those graphs and on one
+skew graph of magnitude 1000 per size, drawn from its own stream: for up to
+four winners and four other candidates, `widest_path_strengths`' row and
+column must equal the single-source `widest_from` runs, and
+`schulze_winners` must agree with `is_schulze_winner`.
+
+A scan difference, a constructed ballot that fails the full check whether
+certified or not, a certified probe that fails it, or a kernel difference is
 printed, and the script exits nonzero.
 
 Usage: python3 scripts/scan_audit.py [--sizes 100 200 400] [--seed S]
@@ -32,7 +40,12 @@ from pathlib import Path
 # Run against this checkout's sources, installed or not.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from schulze_wcm.engine import widest_from  # noqa: E402
+from schulze_wcm.engine import (  # noqa: E402
+    is_schulze_winner,
+    schulze_winners,
+    widest_from,
+    widest_path_strengths,
+)
 from schulze_wcm.model import (  # noqa: E402
     Mode,
     build_majority_graph,
@@ -158,6 +171,38 @@ def audit(graph, target: int, coalition_weight: int, mode: Mode, rng: random.Ran
     return same, (certified, _reaches_goal(final, target, mode), probes)
 
 
+def audit_kernel(graph, case: str, rng: random.Random, sample: int = 4):
+    """(sources checked, differences) of the all-pairs kernel on one graph.
+
+    The sources are up to `sample` winners and `sample` other candidates.
+    Each off-diagonal entry of a source's row and column that differs from
+    widest_from counts once, and so does a source whose is_schulze_winner
+    status differs from its membership in the winner set. Differences are
+    printed with the case.
+    """
+    weights = graph.weights
+    m = len(weights)
+    strengths = widest_path_strengths(weights)
+    winners = schulze_winners(graph)
+    others = sorted(set(range(m)) - set(winners))
+    sources = rng.sample(winners, min(sample, len(winners)))
+    sources += rng.sample(others, min(sample, len(others)))
+    transposed = tuple(zip(*weights))
+    differences = 0
+    for s in sources:
+        row = widest_from(weights, s)
+        column = widest_from(transposed, s)
+        differences += sum(
+            row[y] != strengths[s][y] or column[y] != strengths[y][s]
+            for y in range(m)
+            if y != s
+        )
+        differences += is_schulze_winner(graph, s) != (s in winners)
+    if differences:
+        print(f"kernel: {differences} differences: {case}")
+    return len(sources), differences
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400])
@@ -167,6 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(args.seed)
     # The probes draw from their own stream, so the cases stay those of the seed.
     probe_rng = random.Random(f"probes-{args.seed}")
+    kernel_rng = random.Random(f"kernel-{args.seed}")
     checked = 0
     mismatches = 0
     yes = 0
@@ -174,9 +220,11 @@ def main(argv: list[str] | None = None) -> int:
     failed = 0
     probes_certified = 0
     unsound = 0
+    kernel_audits = []
     start = time.perf_counter()
     for m in args.sizes:
         for kind, graph in graphs(rng, m):
+            kernel_audits.append(audit_kernel(graph, f"m={m} {kind}", kernel_rng))
             targets = rng.sample(range(m), 2)
             coalitions = (1, rng.randint(2, 40), rng.randint(41, 900))
             for target, coalition_weight, mode in product(targets, coalitions, Mode):
@@ -201,9 +249,11 @@ def main(argv: list[str] | None = None) -> int:
                     if wrong:
                         unsound += wrong
                         print(f"{wrong} certified probes fail the full check: {case}")
+        wide = random_skew_graph(kernel_rng, m, magnitude=1000)
+        kernel_audits.append(audit_kernel(wide, f"m={m} skew-1000", kernel_rng))
     elapsed = time.perf_counter() - start
 
-    print(f"{checked} solves checked in {elapsed:.2f}s: {mismatches} mismatches")
+    print(f"{checked} solves checked: {mismatches} mismatches")
     print(
         f"{yes} YES answers: {certified} settled by the tree certificate,"
         f" {yes - certified} by the full check; {failed} ballots fail the full check"
@@ -212,7 +262,14 @@ def main(argv: list[str] | None = None) -> int:
         f"{3 * yes} certificate probes: {probes_certified} certified,"
         f" {unsound} of them fail the full check"
     )
-    return 1 if mismatches or failed or unsound else 0
+    kernel_differences = sum(differences for _, differences in kernel_audits)
+    print(
+        f"strength kernel on {len(kernel_audits)} graphs,"
+        f" {sum(sources for sources, _ in kernel_audits)} sources:"
+        f" {kernel_differences} differences"
+    )
+    print(f"{elapsed:.2f}s in all")
+    return 1 if mismatches or failed or unsound or kernel_differences else 0
 
 
 if __name__ == "__main__":

@@ -11,21 +11,34 @@ from x over edges of weight >= w, so it adds edges from the heaviest down,
 keeps each row's reach set and each column's set of reaching rows as one
 bitset, and records every pair at the level where it first becomes
 reachable. Each edge visits only the rows it extends, so the scan costs
-O(m^2) Python-level steps after an O(m^2 log m) sort. `widest_from` is the
-single-source kernel, O(m^2), behind the solver's path rule. One candidate's
-status needs only its own row and column, so `is_unique_winner` and
-`is_schulze_winner` settle it with two single-source runs, forward and on
-the transpose, in O(m^2).
+O(m^2) Python-level steps after an O(m^2 log m) sort. A row that gains many
+columns at once reads their positions in C, and a row that gains its last
+columns leaves the column index, so on tie-heavy graphs, where most pairs
+arrive in a few large gains, the scan does little more than one store per
+pair. No pair connects below the least row maximum, which on random graphs
+is almost always where the scan ends, so the edges under it are sorted only
+if the scan gets there. `widest_from` is the single-source kernel, O(m^2),
+behind the solver's path rule. One candidate's status needs only its own row
+and column, so `is_unique_winner` and `is_schulze_winner` settle it with two
+single-source runs, forward and on the transpose, in O(m^2).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import chain
-from typing import Sequence
+from itertools import chain, compress
+from typing import Iterator, Sequence
 
 from .model import InternalInvariantError, MajorityGraph, _check_index
+
+# A row gain of more than _BULK_GAIN_BITS + m // 24 columns is decoded in C
+# rather than peeled one bit at a time: the decode reads every column, and
+# measured crossovers run from about 13 columns at m = 30 to about 30 at
+# m = 400 (crossover table in CHANGES.md).
+_BULK_GAIN_BITS = 12
+# Maps the digits of format(new, "b") to the bytes that compress selects by.
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def widest_path_strengths(weights: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -49,31 +62,67 @@ def widest_path_strengths(weights: Sequence[Sequence[int]]) -> list[list[int]]:
     So there are at most m(m-1) row visits, O(m^2) Python-level steps on
     m-bit ints after an O(m^2 log m) sort.
 
+    A row visit that gains k columns costs k stores into the row and k into
+    the column index, plus the bit arithmetic that finds them. Up to
+    _BULK_GAIN_BITS + m // 24 columns are peeled off one bit at a time; a
+    larger gain is read out in C (format, translate, compress), an O(m) step
+    that leaves only the stores. A row the gain fills joins the filled set
+    instead of the column index: it can gain nothing more, and the filled set
+    keeps it out of every later visit.
+
+    No pair connects below the least row maximum over the off-diagonal
+    entries: the row that holds it has no heavier edge out. So the edges at
+    or above it are sorted first, and the rest only if the scan reaches
+    them, which on random graphs it almost never does.
+
     Raises ValueError when a row's length is not the number of rows.
     """
     m = len(weights)
     if any(len(row) != m for row in weights):
         raise ValueError(f"weight matrix must be {m}x{m}")
-    flat = list(chain.from_iterable(weights))
     out = [list(row) for row in weights]
+    left = m * (m - 1)
+    if not left:
+        return out
+    flat = list(chain.from_iterable(out))
+    cut = min(max(row[:x] + row[x + 1 :]) for x, row in enumerate(out))
+    top = [edge for edge, w in enumerate(flat) if w >= cut]
+    top.sort(key=flat.__getitem__, reverse=True)
     reach = [1 << x for x in range(m)]
     into = reach[:]
-    left = m * (m - 1)
-    for edge in sorted(range(m * m), key=flat.__getitem__, reverse=True):
+    full = (1 << m) - 1
+    filled = 0
+    bulk = _BULK_GAIN_BITS + m // 24
+    columns = list(range(m))
+    for edge in chain(top, _edges_below(flat, cut)):
         i, j = divmod(edge, m)
         if reach[i] >> j & 1:
             continue
         w = flat[edge]
         gain = reach[j]
-        rows = into[i] & ~into[j]
+        rows = into[i] & ~(into[j] | filled)
         while rows:
             row_bit = rows & -rows
             rows ^= row_bit
             r = row_bit.bit_length() - 1
             new = gain & ~reach[r]
             reach[r] |= new
-            left -= new.bit_count()
+            count = new.bit_count()
+            left -= count
             out_r = out[r]
+            if count > bulk:
+                gained = compress(
+                    columns, format(new, "b")[::-1].encode().translate(_ZERO_ONE)
+                )
+                if reach[r] == full:
+                    filled |= row_bit
+                    for z in gained:
+                        out_r[z] = w
+                else:
+                    for z in gained:
+                        out_r[z] = w
+                        into[z] |= row_bit
+                continue
             while new:
                 low = new & -new
                 z = low.bit_length() - 1
@@ -83,6 +132,13 @@ def widest_path_strengths(weights: Sequence[Sequence[int]]) -> list[list[int]]:
         if not left:
             break
     return out
+
+
+def _edges_below(flat: list[int], cut: int) -> Iterator[int]:
+    """The entries below cut, heaviest first, sorted when first asked for."""
+    below = [edge for edge, w in enumerate(flat) if w < cut]
+    below.sort(key=flat.__getitem__, reverse=True)
+    yield from below
 
 
 def widest_from(

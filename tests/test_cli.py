@@ -48,6 +48,17 @@ def test_winners_golden(capsys):
     assert err == ""
 
 
+def test_winners_strengths_golden_on_a_tied_election(capsys):
+    # 18 candidates, three ballots, four tied winners. The strength scan
+    # reads some row gains in C, fills rows with one gain and reaches the
+    # edges below the least row maximum; the transcript was recorded with the
+    # scan that peeled every gain one bit at a time.
+    code, out, err = run(capsys, "winners", str(DATA / "tied18.elect"), "--strengths")
+    assert code == 0
+    assert out == (DATA / "tied18.strengths").read_text(encoding="utf-8")
+    assert err == ""
+
+
 # ------------------------------------------------------------------ behavior
 
 

@@ -18,6 +18,7 @@ from schulze_wcm import (
     schulze_winners,
     widest_path_strengths,
 )
+from schulze_wcm import engine
 from schulze_wcm.engine import is_schulze_winner, widest_from
 from schulze_wcm.oracle import _strengths as oracle_strengths
 from schulze_wcm.sampling import random_profile, random_skew_graph
@@ -145,6 +146,107 @@ def test_all_pairs_rows_and_columns_match_single_source_at_m_150(kind):
     winners = schulze_winners(graph)
     for target in range(150):
         assert is_schulze_winner(graph, target) == (target in winners)
+
+
+def assert_strengths_match_references(weights):
+    """The oracle's copy up to m = 40, every single-source row and column above."""
+    m = len(weights)
+    got = widest_path_strengths(weights)
+    if m <= 40:
+        want = oracle_strengths([list(row) for row in weights])
+        assert off_diagonal(got) == off_diagonal(want)
+        return
+    transposed = tuple(zip(*weights))
+    for s in range(m):
+        row = widest_from(weights, s)
+        column = widest_from(transposed, s)
+        row[s] = column[s] = got[s][s]
+        assert got[s] == row
+        assert [got[y][s] for y in range(m)] == column
+
+
+def bulk_gain_matrix(kind, m):
+    """A matrix whose scan gains many columns per row visit.
+
+    On tied and constant matrices most rows gain nearly every column at once,
+    and fill with that gain. The others move where the scan can stop: the
+    row maxima sit on the diagonal, every entry is negative, or the entries
+    sit at the weight cap.
+    """
+    rng = random.Random(f"{kind}-{m}")
+    if kind.startswith("tied-"):
+        return random_skew_graph(rng, m, magnitude=int(kind[5:])).weights
+    if kind == "constant":
+        return [[7] * m for _ in range(m)]
+    if kind == "diagonal-maximum":
+        return [
+            [50 if y == x else rng.randint(-5, 5) for y in range(m)] for x in range(m)
+        ]
+    if kind == "negative":
+        return [[rng.randint(-9, -1) for _ in range(m)] for _ in range(m)]
+    assert kind == "weight-cap"
+    return [[rng.choice((INT64_MAX, 0, -INT64_MAX)) for _ in range(m)] for _ in range(m)]
+
+
+BULK_SIZES = [13, 14, 63, 64, 65, 127, 128, 129]
+BULK_KINDS = [
+    "tied-1",
+    "tied-2",
+    "tied-3",
+    "constant",
+    "diagonal-maximum",
+    "negative",
+    "weight-cap",
+]
+
+
+@pytest.mark.parametrize("kind", BULK_KINDS)
+@pytest.mark.parametrize("m", BULK_SIZES)
+def test_strengths_match_references_when_rows_gain_in_bulk(m, kind):
+    assert_strengths_match_references(bulk_gain_matrix(kind, m))
+
+
+def gain_of(m, k):
+    """A matrix in which row 0 gains exactly k columns in one visit.
+
+    Background entries are 0. A hub (1) reaches the spokes 2..k at 5, and
+    row 0 reaches the hub at 3, so at level 3 row 0 takes the hub and every
+    spoke in one visit. When there is room, the last spoke reaches one more
+    candidate at 2, which row 0 reaches only through that spoke: its column
+    index must already hold row 0.
+    """
+    weights = [[0] * m for _ in range(m)]
+    for spoke in range(2, k + 1):
+        weights[1][spoke] = 5
+    weights[0][1] = 3
+    if k + 1 < m:
+        weights[k][k + 1] = 2
+    return weights
+
+
+# Gains of exactly the bulk threshold and of one column more, where a row has
+# room for them.
+THRESHOLD_GAINS = [
+    (m, k)
+    for m in BULK_SIZES
+    for k in (engine._BULK_GAIN_BITS + m // 24, engine._BULK_GAIN_BITS + m // 24 + 1)
+    if k < m
+]
+
+
+@pytest.mark.parametrize("m, k", THRESHOLD_GAINS)
+def test_a_gain_at_and_past_the_bulk_threshold(m, k):
+    weights = gain_of(m, k)
+    strengths = widest_path_strengths(weights)
+    assert strengths[0][1 : k + 1] == [3] * k
+    assert strengths[1][2 : k + 1] == [5] * (k - 1)
+    if k + 1 < m:
+        assert strengths[0][k + 1] == 2
+    assert_strengths_match_references(weights)
+
+
+def test_strengths_of_no_candidates():
+    assert widest_path_strengths([]) == []
 
 
 @pytest.mark.parametrize(
