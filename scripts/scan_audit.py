@@ -1,4 +1,4 @@
-"""Cross-check the solver's restricted scans, its tree certificate and the strength kernel.
+"""Cross-check the solver's restricted scans, tree certificate and strength kernel.
 
 `compute_bound_function` runs its transfer scan over the rivals that can
 still lower someone, and `build_admissible_graph` tests only the heads whose
@@ -171,10 +171,10 @@ def audit(graph, target: int, coalition_weight: int, mode: Mode, rng: random.Ran
     return same, (certified, _reaches_goal(final, target, mode), probes)
 
 
-def audit_kernel(graph, case: str, rng: random.Random, sample: int = 4):
+def audit_kernel(graph, case: str, rng: random.Random):
     """(sources checked, differences) of the all-pairs kernel on one graph.
 
-    The sources are up to `sample` winners and `sample` other candidates.
+    The sources are up to four winners and four other candidates.
     Each off-diagonal entry of a source's row and column that differs from
     widest_from counts once, and so does a source whose is_schulze_winner
     status differs from its membership in the winner set. Differences are
@@ -185,8 +185,8 @@ def audit_kernel(graph, case: str, rng: random.Random, sample: int = 4):
     strengths = widest_path_strengths(weights)
     winners = schulze_winners(graph)
     others = sorted(set(range(m)) - set(winners))
-    sources = rng.sample(winners, min(sample, len(winners)))
-    sources += rng.sample(others, min(sample, len(others)))
+    sources = rng.sample(winners, min(4, len(winners)))
+    sources += rng.sample(others, min(4, len(others)))
     transposed = tuple(zip(*weights))
     differences = 0
     for s in sources:

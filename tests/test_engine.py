@@ -185,7 +185,8 @@ def bulk_gain_matrix(kind, m):
     if kind == "negative":
         return [[rng.randint(-9, -1) for _ in range(m)] for _ in range(m)]
     assert kind == "weight-cap"
-    return [[rng.choice((INT64_MAX, 0, -INT64_MAX)) for _ in range(m)] for _ in range(m)]
+    extremes = (INT64_MAX, 0, -INT64_MAX)
+    return [[rng.choice(extremes) for _ in range(m)] for _ in range(m)]
 
 
 BULK_SIZES = [13, 14, 63, 64, 65, 127, 128, 129]
