@@ -1,4 +1,4 @@
-"""Cross-check the solver's restricted scans, tree certificate and strength kernel.
+"""Cross-check the solver's scans, tree walk, tree certificate and strength kernel.
 
 `compute_bound_function` runs its transfer scan over the rivals that can
 still lower someone, and `build_admissible_graph` tests only the heads whose
@@ -9,11 +9,14 @@ candidates in both decision modes: majority graphs of random profiles with
 magnitude at most 2. On every YES decision it also runs the rest of the
 solve (tree, ballot, tree certificate) and checks the final election in full
 whatever the certificate says; it prints the share of YES answers the
-certificate settled. As the solver's own ballots always win, each YES case
-also probes the certificate where it may have to say no: the same ballot and
-tree at coalition weights W - 1 and W // 2, and a random ballot with a random
-tree rooted at the target at W. Every probe the certificate accepts is
-checked in full.
+certificate settled. The solve takes its tree from a walk over the bounds
+that never builds the admissible graph; on every YES decision the walk's
+parents and children must equal those of `spanning_arborescence` run on
+`build_admissible_graph`'s output. As the solver's own ballots always win,
+each YES case also probes the certificate where it may have to say no: the
+same ballot and tree at coalition weights W - 1 and W // 2, and a random
+ballot with a random tree rooted at the target at W. Every probe the
+certificate accepts is checked in full.
 
 The all-pairs strength kernel is audited on each of those graphs and on one
 skew graph of magnitude 1000 per size, drawn from its own stream: for up to
@@ -21,9 +24,10 @@ four winners and four other candidates, `widest_path_strengths`' row and
 column must equal the single-source `widest_from` runs, and
 `schulze_winners` must agree with `is_schulze_winner`.
 
-A scan difference, a constructed ballot that fails the full check whether
-certified or not, a certified probe that fails it, or a kernel difference is
-printed, and the script exits nonzero.
+A scan difference, a tree that differs from the reference tree, a
+constructed ballot that fails the full check whether certified or not, a
+certified probe that fails it, or a kernel difference is printed, and the
+script exits nonzero.
 
 Usage: python3 scripts/scan_audit.py [--sizes 100 200 400] [--seed S]
 """
@@ -58,6 +62,7 @@ from schulze_wcm.sampling import (  # noqa: E402
 )
 from schulze_wcm.solver import (  # noqa: E402
     INF,
+    _admissible_tree,
     _reaches_goal,
     _tree_certifies_goal,
     build_admissible_graph,
@@ -144,10 +149,12 @@ def probe_certificate(rng, graph, target, vote, parents, coalition_weight, mode)
 
 
 def audit(graph, target: int, coalition_weight: int, mode: Mode, rng: random.Random):
-    """(scans match, YES tail), the tail None on NO, else (certified, reaches, probes).
+    """(scans match, YES tail), the tail None on NO.
 
-    reaches is the full check of the final election, run on every YES;
-    probes is what probe_certificate returns.
+    On YES the tail is (tree matches, certified, reaches, probes): whether
+    the walk's tree equals the reference tree, whether the certificate
+    settles the ballot folded from the reference tree, the full check of the
+    final election, run on every YES, and what probe_certificate returns.
     """
     weights = graph.weights
     bounds, applications = compute_bound_function(
@@ -160,15 +167,23 @@ def audit(graph, target: int, coalition_weight: int, mode: Mode, rng: random.Ran
     if not decide_manipulable(graph, bounds, coalition_weight):
         return same, None
     parents = spanning_arborescence(admissible, target)
+    children = [[] for _ in parents]
+    for child, parent in enumerate(parents):
+        if parent is not None:
+            children[parent].append(child)
+    # The rest of the audit folds the reference tree, so a walk that goes
+    # wrong is reported as a difference rather than breaking the ballot.
+    walk_parents, walk_children = _admissible_tree(graph, bounds, coalition_weight)
+    tree_same = walk_parents == parents and list(map(list, walk_children)) == children
     vote = construct_manipulator_vote(parents, bounds)
     certified = _tree_certifies_goal(
-        graph, target, vote, parents, coalition_weight, mode
+        graph, target, vote, parents, coalition_weight, mode, children
     )
     final = overlay_identical_manipulators(graph, vote, coalition_weight)
     probes = probe_certificate(
         rng, graph, target, vote, parents, coalition_weight, mode
     )
-    return same, (certified, _reaches_goal(final, target, mode), probes)
+    return same, (tree_same, certified, _reaches_goal(final, target, mode), probes)
 
 
 def audit_kernel(graph, case: str, rng: random.Random):
@@ -216,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     checked = 0
     mismatches = 0
     yes = 0
+    tree_differences = 0
     certified = 0
     failed = 0
     probes_certified = 0
@@ -239,7 +255,10 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"mismatch: {case}")
                 if tail is not None:
                     yes += 1
-                    settled, reaches, (accepted, wrong) = tail
+                    tree_same, settled, reaches, (accepted, wrong) = tail
+                    if not tree_same:
+                        tree_differences += 1
+                        print(f"walk tree differs from the reference tree: {case}")
                     certified += settled
                     if not reaches:
                         failed += 1
@@ -258,6 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{yes} YES answers: {certified} settled by the tree certificate,"
         f" {yes - certified} by the full check; {failed} ballots fail the full check"
     )
+    print(f"{yes} YES trees against the reference tree: {tree_differences} differences")
     print(
         f"{3 * yes} certificate probes: {probes_certified} certified,"
         f" {unsound} of them fail the full check"
@@ -269,7 +289,8 @@ def main(argv: list[str] | None = None) -> int:
         f" {kernel_differences} differences"
     )
     print(f"{elapsed:.2f}s in all")
-    return 1 if mismatches or failed or unsound or kernel_differences else 0
+    failures = mismatches + tree_differences + failed + unsound + kernel_differences
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -154,8 +154,10 @@ def widest_from(
     (source, z) paths; the entry for the source is None. Accepts any square
     matrix, no symmetry assumed. A greedy max-first scan (the bottleneck
     analogue of Dijkstra) is exact for arbitrary integer weights and runs in
-    O(m^2). Raises ValueError when a row's length or the number of caps is
-    not the number of rows.
+    O(m^2); the values of the candidates left sit in a list parallel to
+    theirs, so each pick is one max and one index lookup in C. Raises
+    ValueError when a row's length or the number of caps is not the number
+    of rows.
     """
     m = len(weights)
     _check_index(source, m, "source")
@@ -168,24 +170,28 @@ def widest_from(
     best: list = [None] * m
     todo = [z for z in range(m) if z != source]
     row = weights[source]
+    # vals[k] is the best value found so far for todo[k]; an entry of best is
+    # written once, when its candidate is picked.
+    vals = []
     for z in todo:
         value = row[z] + offset
-        best[z] = caps[z] if caps[z] < value else value
+        vals.append(caps[z] if caps[z] < value else value)
     while todo:
-        pick = max(todo, key=best.__getitem__)
-        todo.remove(pick)
-        limit = best[pick]
+        # The first largest value, as max over todo keyed by value would pick.
+        k = vals.index(max(vals))
+        pick = todo.pop(k)
+        limit = best[pick] = vals.pop(k)
         row = weights[pick]
-        for z in todo:
+        for k, z in enumerate(todo):
             value = row[z] + offset
-            # min(value, limit, caps[z]) cannot beat best[z] unless value does.
-            if value > best[z]:
+            # min(value, limit, caps[z]) cannot beat vals[k] unless value does.
+            if value > vals[k]:
                 if value > limit:
                     value = limit
                 if value > caps[z]:
                     value = caps[z]
-                if value > best[z]:
-                    best[z] = value
+                if value > vals[k]:
+                    vals[k] = value
     return best
 
 

@@ -8,18 +8,23 @@ decision then compares each rival's bound against the direct edge it holds
 into the target. On a yes decision, a spanning arborescence of the admissible
 support graph is folded into one ballot that the whole coalition casts, and
 the outcome is returned only once that ballot is shown to reach the goal.
-The tree first serves as an O(m) certificate: its paths bound the target's
-strength toward each rival from below, and the heaviest final entry into
-the target bounds every rival's strength back. When those bounds cannot
+The solve finds that tree by a breadth-first walk from the target that tests
+the admissible edge rule on the bounds as it goes, so the admissible graph
+itself is never built there; `build_admissible_graph` and
+`spanning_arborescence` compute the same tree in two steps and serve as its
+reference. The tree first serves as an O(m) certificate: its paths bound the
+target's strength toward each rival from below, and the heaviest final entry
+into the target bounds every rival's strength back. When those bounds cannot
 settle it, the final election is built and its winner status re-checked in
 full.
 
 Each rule's own inequality excludes most candidate pairs before any edge is
 read: a rival whose row maximum fails the transfer rule's edge test against
 its own bound can transfer to no one, and an admissible edge never enters a
-head with a larger bound than its tail. The transfer scan and the admissible
-graph visit only the pairs these tests leave, and fire or keep exactly the
-pairs a scan over all of them would.
+head with a larger bound than its tail. The transfer scan visits only the
+pairs the first test leaves, and fires at exactly the pairs a scan over all
+of them would; the tree walk reads an edge only toward a candidate it has not
+reached yet.
 
 Everything runs in polynomial time in the number of candidates; weights only
 enter through exact integer comparisons.
@@ -76,8 +81,9 @@ class BoundFunction:
             if x == self.target:
                 if value != INF:
                     raise ValueError("the target bound must be infinite")
-            elif not isinstance(value, int):
-                raise ValueError("non-target bounds must be integers")
+            # bool is an int subclass, but True would be written back as "True".
+            elif not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"non-target bounds must be integers, got {value!r}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -281,6 +287,52 @@ def spanning_arborescence(
     return tuple(parents)
 
 
+def _admissible_tree(
+    graph: MajorityGraph, bounds: BoundFunction, coalition_weight: int
+) -> tuple[tuple[int | None, ...], list]:
+    """The breadth-first spanning tree of the admissible graph, walked from the bounds.
+
+    Returns (parents, children): the tree that spanning_arborescence finds
+    in build_admissible_graph's output, and each candidate's children in
+    ascending index order. The walk pops candidates in breadth-first order
+    from the target; a popped x takes as its children the candidates not yet
+    reached, in ascending index order, that the admissible edge rule lets x
+    enter: bound(y) <= bound(x) and weight(x, y) >= bound(y) - coalition.
+    The breadth-first search over the built graph scans x's out-neighbours in
+    the same order and skips exactly the reached ones, so both find the same
+    parents. Only edges toward unreached candidates are read, and a pop
+    reads none once every candidate is reached. A candidate left unreached
+    raises InternalInvariantError, as in spanning_arborescence.
+    """
+    weights = graph.weights
+    values = bounds.values
+    target = bounds.target
+    m = len(values)
+    needs = [value - coalition_weight for value in values]
+    parents: list[int | None] = [None] * m
+    children: list = [()] * m
+    unseen = [y for y in range(m) if y != target]
+    order = [target]
+    # The loop visits the candidates order gains while it runs.
+    for x in order:
+        if not unseen:
+            break
+        row = weights[x]
+        level = values[x]
+        hits = [y for y in unseen if row[y] >= needs[y] and values[y] <= level]
+        if hits:
+            children[x] = hits
+            for y in hits:
+                parents[y] = x
+            order += hits
+            unseen = [y for y in unseen if parents[y] is None]
+    if unseen:
+        raise InternalInvariantError(
+            f"candidates {unseen} unreachable in the admissible graph"
+        )
+    return tuple(parents), children
+
+
 def construct_manipulator_vote(
     parents: tuple[int | None, ...], bounds: BoundFunction
 ) -> Ranking:
@@ -334,6 +386,7 @@ def _tree_certifies_goal(
     parents: tuple[int | None, ...],
     coalition_weight: int,
     mode: Mode,
+    children: list | None = None,
 ) -> bool:
     """Whether the tree alone proves that the coalition's ballot reaches the goal.
 
@@ -351,6 +404,8 @@ def _tree_certifies_goal(
     at least one rival, and parents must give the target no parent, as
     construct_manipulator_vote requires; a candidate the walk from the
     target does not reach has no tree path, and fails the certificate.
+    children, when given, must list each candidate's children in parents,
+    as _admissible_tree returns them; otherwise they are read off parents.
     """
     weights = graph.weights
     ranks = vote.ranks
@@ -362,10 +417,11 @@ def _tree_certifies_goal(
         if z != target
     )
     strict = mode is Mode.UNIQUE
-    children: list[list[int]] = [[] for _ in ranks]
-    for child, parent in enumerate(parents):
-        if parent is not None:
-            children[parent].append(child)
+    if children is None:
+        children = [[] for _ in ranks]
+        for child, parent in enumerate(parents):
+            if parent is not None:
+                children[parent].append(child)
     # With no parent for the target and one for everyone else, the walk
     # meets each candidate it reaches exactly once.
     reached = 1
@@ -411,6 +467,10 @@ def solve_wcm(instance: ManipulationInstance) -> ManipulationOutcome:
     required status, with no ballot. Otherwise the bound function decides,
     and on yes the constructed ballot is verified against the stated goal
     before being returned; all manipulators cast that same ballot. The
+    ballot folds the spanning tree that a breadth-first walk from the target
+    finds over the bounds; the walk tests the admissible edge rule pair by
+    pair and never builds the admissible graph, which build_admissible_graph
+    and spanning_arborescence compute only as its reference. The
     spanning tree's O(m) certificate verifies it first; only when the
     certificate cannot settle the goal is the final election built and its
     winner status checked in full, and a ballot failing that check raises
@@ -442,11 +502,10 @@ def solve_wcm(instance: ManipulationInstance) -> ManipulationOutcome:
     decision = decide_manipulable(graph, bounds, coalition_weight)
     vote: Ranking | None = None
     if decision:
-        admissible = build_admissible_graph(graph, bounds, coalition_weight)
-        parents = spanning_arborescence(admissible, target)
+        parents, children = _admissible_tree(graph, bounds, coalition_weight)
         vote = construct_manipulator_vote(parents, bounds)
         if not _tree_certifies_goal(
-            graph, target, vote, parents, coalition_weight, mode
+            graph, target, vote, parents, coalition_weight, mode, children
         ):
             final = overlay_identical_manipulators(graph, vote, coalition_weight)
             if not _reaches_goal(final, target, mode):

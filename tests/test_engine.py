@@ -1,5 +1,6 @@
 """Strength computation and winner determination against brute enumeration."""
 
+import math
 import random
 
 import pytest
@@ -349,6 +350,78 @@ def test_widest_from_is_stable_under_its_own_caps(weights, offset, caps):
         got = widest_from(weights, s, offset, caps[:m])
         lowered = [caps[z] if z == s else got[z] for z in range(m)]
         assert widest_from(weights, s, offset, lowered) == got
+
+
+def widest_from_reference(weights, source, offset=0, caps=None):
+    """Single-source max-min strengths by relaxing every edge until none improves.
+
+    Edge (y, z) is worth min(weights[y][z] + offset, caps[z]); the source's
+    entry is None. A label-correcting loop, independent of the greedy pick
+    order the kernel relies on.
+    """
+    m = len(weights)
+    if caps is None:
+        caps = [math.inf] * m
+    best = [None] * m
+    for z in range(m):
+        if z != source:
+            best[z] = min(weights[source][z] + offset, caps[z])
+    changed = True
+    while changed:
+        changed = False
+        for y in range(m):
+            if y == source:
+                continue
+            for z in range(m):
+                if z == y or z == source:
+                    continue
+                value = min(best[y], weights[y][z] + offset, caps[z])
+                if value > best[z]:
+                    best[z] = value
+                    changed = True
+    return best
+
+
+# Entry draws for the reference cases: tie-heavy rows, negative-only rows,
+# entries at the signed 64-bit cap, and plain random ones.
+ENTRY_DRAWS = {
+    "ties": lambda rng: rng.choice((-1, 0, 0, 1)),
+    "negative": lambda rng: -rng.randint(1, 4),
+    "extreme": lambda rng: rng.choice(
+        (INT64_MAX, -INT64_MAX, INT64_MAX - 1, 1 - INT64_MAX, 0)
+    ),
+    "random": lambda rng: rng.randint(-50, 50),
+}
+
+
+def reference_case_caps(rng, weights, offset, kind):
+    """Caps of one kind: none, all INF, one row's own values, or a mix."""
+    m = len(weights)
+    if kind == "none":
+        return None
+    if kind == "inf":
+        return [math.inf] * m
+    row = weights[rng.randrange(m)]
+    if kind == "row":
+        return [value + offset for value in row]
+    return [rng.choice((math.inf, value + offset, value)) for value in row]
+
+
+@pytest.mark.parametrize("m", [1, 2, 13, 64, 130])
+@pytest.mark.parametrize("kind", list(ENTRY_DRAWS))
+def test_widest_from_matches_the_reference(m, kind):
+    rng = random.Random(f"widest-from-{kind}-{m}")
+    draw = ENTRY_DRAWS[kind]
+    weights = [[draw(rng) for _ in range(m)] for _ in range(m)]
+    offsets = (0, INT64_MAX) if kind == "extreme" else (0, 3, -2)
+    sources = range(m) if m <= 13 else rng.sample(range(m), 2)
+    for source in sources:
+        for offset in offsets:
+            for caps_kind in ("none", "inf", "row", "mixed"):
+                caps = reference_case_caps(rng, weights, offset, caps_kind)
+                got = widest_from(weights, source, offset, caps)
+                assert got[source] is None
+                assert got == widest_from_reference(weights, source, offset, caps)
 
 
 def test_widest_from_checks_range():

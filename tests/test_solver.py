@@ -12,12 +12,14 @@ from conftest import (
     finite_bounds,
     floyd_warshall_strengths,
     reachable,
+    skew,
     skew_graphs,
 )
 from schulze_wcm import engine, solver
 from schulze_wcm.engine import widest_from, widest_path_strengths
 from schulze_wcm import (
     INF,
+    INT64_MAX,
     BoundFunction,
     CandidateSet,
     InternalInvariantError,
@@ -85,6 +87,15 @@ def test_bound_function_validation():
             BoundFunction((INF, 1), 0.0, Mode.UNIQUE),
             1,
         )
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bound_function_rejects_bool_bounds(flag):
+    # bool is an int subclass; a bound of True would print as "a=True".
+    with pytest.raises(ValueError, match="non-target bounds must be integers"):
+        BoundFunction((INF, flag), 0, Mode.UNIQUE)
+    with pytest.raises(ValueError, match="non-target bounds must be integers"):
+        BoundFunction((3, flag, INF), 2, Mode.COWINNER)
 
 
 # ---------------------------------------------------------- bound computation
@@ -413,6 +424,111 @@ def test_arborescence_rejects_root_out_of_range(root):
 def test_arborescence_rejects_edges_to_no_candidate(out_edges):
     with pytest.raises(ValueError, match="out-neighbours must be ints"):
         spanning_arborescence(out_edges, 0)
+
+
+# ------------------------------------------------------------------ tree walk
+
+
+def reference_tree(graph, bounds, coalition_weight):
+    """(parents, children) of the tree built over the whole admissible graph."""
+    parents = spanning_arborescence(
+        build_admissible_graph(graph, bounds, coalition_weight), bounds.target
+    )
+    children = [[] for _ in parents]
+    for child, parent in enumerate(parents):
+        if parent is not None:
+            children[parent].append(child)
+    return parents, children
+
+
+def assert_walk_matches_reference(graph, target, coalition_weight, mode):
+    bounds, _ = compute_bound_function(graph, target, coalition_weight, mode)
+    parents, children = solver._admissible_tree(graph, bounds, coalition_weight)
+    want_parents, want_children = reference_tree(graph, bounds, coalition_weight)
+    assert parents == want_parents
+    assert list(map(list, children)) == want_children
+    if len(parents) > 1 and decide_manipulable(graph, bounds, coalition_weight):
+        vote = construct_manipulator_vote(parents, bounds)
+        # The walk's children stand in for the ones read off parents.
+        assert solver._tree_certifies_goal(
+            graph, target, vote, parents, coalition_weight, mode, children
+        ) == solver._tree_certifies_goal(
+            graph, target, vote, parents, coalition_weight, mode
+        )
+    return bounds
+
+
+@settings(max_examples=300)
+@given(
+    skew_graphs(max_m=8, magnitude=6),
+    st.integers(0, 7),
+    st.integers(0, 12),
+    st.sampled_from(list(Mode)),
+)
+def test_walk_matches_the_admissible_graph_tree(graph, target, coalition_weight, mode):
+    target %= len(graph.candidates)
+    assert_walk_matches_reference(graph, target, coalition_weight, mode)
+
+
+@pytest.mark.parametrize("m", [30, 100, 400])
+@pytest.mark.parametrize("kind", ["profile-20", "profile-300", "skew-2"])
+def test_walk_matches_the_admissible_graph_tree_on_large_graphs(m, kind):
+    rng = random.Random(f"walk-{kind}-{m}")
+    if kind == "skew-2":
+        graph = random_skew_graph(rng, m, magnitude=2)
+    else:
+        count = int(kind.split("-")[1])
+        graph = build_majority_graph(random_profile(rng, m, ballots=(count, count)))
+    yes = 0
+    for target in rng.sample(range(m), 2):
+        for coalition_weight in (1, rng.randint(2, 40), rng.randint(41, 900)):
+            for mode in Mode:
+                bounds = assert_walk_matches_reference(
+                    graph, target, coalition_weight, mode
+                )
+                yes += decide_manipulable(graph, bounds, coalition_weight)
+    # The trees compared must include the ones the solve folds into ballots.
+    assert yes
+
+
+def test_walk_matches_the_admissible_graph_tree_at_the_weight_cap():
+    rng = random.Random(64)
+    top = 2**62
+    for _ in range(200):
+        m = rng.randint(2, 7)
+        upper = [
+            rng.choice((top, -top, top - 1, 1 - top, 0, 1, -1))
+            for _ in range(m * (m - 1) // 2)
+        ]
+        graph = skew(tuple("abcdefg"[:m]), upper)
+        # Pairwise weights of at most 2**62 leave room for a coalition that
+        # brings the total to the signed 64-bit cap.
+        coalition_weight = rng.choice((INT64_MAX - top, top - 1, top, 1))
+        for mode in Mode:
+            assert_walk_matches_reference(
+                graph, rng.randrange(m), coalition_weight, mode
+            )
+
+
+def test_walk_unreachable_is_an_internal_error():
+    # Not a fixed point: the path rule would lower x and y to 0, but with
+    # bounds of 10 no admissible edge leaves the target.
+    graph = build_majority_graph(WeightedProfile(CXY, (ballot([1, 2, 0], 1),)))
+    bounds = BoundFunction((INF, 10, 10), 0, Mode.UNIQUE)
+    with pytest.raises(InternalInvariantError, match=r"\[1, 2\] unreachable"):
+        solver._admissible_tree(graph, bounds, 1)
+
+
+def test_solve_never_builds_the_admissible_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reference tree built during a solve")
+
+    monkeypatch.setattr(solver, "build_admissible_graph", refuse)
+    monkeypatch.setattr(solver, "spanning_arborescence", refuse)
+    profile = WeightedProfile(CXY, (ballot([1, 2, 0], 2),))
+    for mode in Mode:
+        outcome = solve_wcm(ManipulationInstance(profile, (3,), 0, mode))
+        assert outcome.decision and outcome.vote is not None
 
 
 # ---------------------------------------------------------- vote construction
