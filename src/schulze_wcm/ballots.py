@@ -26,11 +26,16 @@ the diagnosing code needs only for other spellings:
   stripped at the right, is the ranking text the chain would read. Any
   other line, a weight past the cap included, takes the chain.
 * a ranking written with the ' > ' separator, from either kind of line, is
-  accepted in bulk with one label-map pass. Text that misses, repeats or
-  pads a candidate goes to the diagnosing loop, which reports the first
-  fault in order.
+  accepted in bulk. Up to 255 candidates its labels map to a byte string of
+  indices, and one bytes.maketrans scatter turns that into the ranks and
+  proves it a permutation (_accept gives the argument); from 256 on, where a
+  byte cannot hold an index, one Python loop over the labels writes them.
+  Text that misses, repeats or pads a candidate goes to the diagnosing loop,
+  which reports the first fault in order.
 
 Both skips accept only text the diagnosing code accepts, with the same result.
+Each ballot line's ranks and weight are then proved, so model._proven_ballot
+builds its Ranking and WeightedBallot without the constructors' checks.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .model import (
     WeightedBallot,
     WeightedProfile,
     _proven,
+    _proven_ballot,
 )
 
 _LABEL = re.compile(r"^[A-Za-z0-9_-]+\Z")
@@ -77,25 +83,48 @@ def _parse_weight(token: str, what: str, line: int) -> int:
     return weight
 
 
-def _accept(text: str, index: dict[str, int], descending: range) -> Ranking | None:
-    """The ranking canonical text spells, or None for the diagnosing loop.
+def _accept(
+    text: str, index: dict[str, int], descending: bytes | range
+) -> tuple[int, ...] | None:
+    """The ranks canonical text spells, or None for the diagnosing loop.
 
-    A label in the map holds no whitespace and no '>', so accepted text is
-    exactly " > ".join(labels), which the loop accepts with the same ranks;
-    a repeat leaves a 0. descending is range(m, 0, -1).
+    descending holds m, m - 1, ..., 1: as bytes when m <= 255, else as a
+    range. A label in the map holds no whitespace and no '>', so accepted
+    text is exactly " > ".join(labels) over m labels of the map, which the
+    loop accepts with the same ranks as long as no label repeats.
+
+    Up to 255 candidates every index and rank fits a byte, so the labels
+    become the byte string order of their indices and
+    bytes.maketrans(order, descending) scatters rank descending[j] to byte
+    order[j] of its table, a later position overwriting an earlier one.
+    If a byte of order occurs at j and again later, its table entry holds
+    the rank of its last position l > j, so order.translate(table) differs
+    from descending at j, as descending strictly decreases. Equal strings
+    thus prove the m bytes of order distinct, all below m, so a permutation
+    of 0..m-1, and the table's first m bytes the ranks of candidates
+    0..m-1. From 256 candidates on, a Python loop writes each rank and a
+    repeat leaves a 0. The branch reads only m.
     """
     labels = text.split(" > ")
-    if len(labels) != len(descending):
+    m = len(descending)
+    if len(labels) != m:
         return None
-    ranks = [0] * len(labels)
+    if m > 255:
+        ranks = [0] * m
+        try:
+            for rank, label in zip(descending, labels):
+                ranks[index[label]] = rank
+        except KeyError:
+            return None
+        return tuple(ranks) if all(ranks) else None
     try:
-        for rank, label in zip(descending, labels):
-            ranks[index[label]] = rank
+        order = bytes(map(index.__getitem__, labels))
     except KeyError:
         return None
-    if not all(ranks):
+    table = bytes.maketrans(order, descending)
+    if order.translate(table) != descending:
         return None
-    return _proven(Ranking, tuple(ranks))
+    return tuple(table[:m])
 
 
 def _parse_ranking(
@@ -131,7 +160,7 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
     """Parse election text; all diagnostics carry 1-based line numbers."""
     candidates: CandidateSet | None = None
     index: dict[str, int] = {}
-    descending = range(0)
+    descending: bytes | range = b""
     ballots: list[WeightedBallot] = []
     total = 0
     manipulators: tuple[int, ...] | None = None
@@ -164,7 +193,8 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
                         raise ParseError(f"duplicate label {label!r}", number)
                     index[label] = position
                 candidates = CandidateSet(tuple(labels))
-                descending = range(len(labels), 0, -1)
+                m = len(labels)
+                descending = bytes(range(m, 0, -1)) if m <= 255 else range(m, 0, -1)
                 continue
             if line.startswith("manipulators:"):
                 if manipulators is not None:
@@ -199,10 +229,10 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
                 raise ParseError("candidates line must precede ballots", number)
             weight = _parse_weight(match.group(1), "ballot", number)
             spelled = match.group(2)
-        ranking = _accept(spelled, index, descending)
-        if ranking is None:
-            ranking = _parse_ranking(spelled, index, len(index), number)
-        ballots.append(_proven(WeightedBallot, ranking, weight))
+        ranks = _accept(spelled, index, descending)
+        if ranks is None:
+            ranks = _parse_ranking(spelled, index, len(index), number).ranks
+        ballots.append(_proven_ballot(ranks, weight))
         total += weight
         if total > INT64_MAX:
             raise ParseError(

@@ -23,6 +23,8 @@ from schulze_wcm import ballots
 from schulze_wcm.cli import run_cli
 from schulze_wcm.sampling import random_instance, random_profile
 
+from test_producers import assert_proven
+
 DATA = Path(__file__).parent / "data"
 
 INSTANCE_TEXT = """\
@@ -355,3 +357,69 @@ def test_canonical_profile_takes_the_accept_path(monkeypatch):
         assert parse_election_file(commented) == expected
     assert expected == profile
     assert parse_election_file(text.replace(" > ", ">")) == expected
+
+
+def _spelled_rankings(m):
+    """A canonical ranking over m candidates and five texts the accept refuses."""
+    order = [f"c{i:03d}" for i in range(m)]
+    random.Random(m).shuffle(order)
+    padded = order[:]
+    padded[m // 2] += " "
+    return {
+        "canonical": order,
+        "repeat-first": [order[-1], *order[1:]],
+        "repeat-last": [*order[:-1], order[0]],
+        "unknown": [*order[:-1], "zz"],
+        "one-short": order[:-1],
+        "one-extra": [*order, order[0]],
+        "padded": padded,
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 254, 255, 256, 300])
+def test_accept_matches_the_diagnosing_loop_either_side_of_the_byte_limit(
+    monkeypatch, m
+):
+    # Up to 255 candidates a ranking is decoded as bytes, past that in a loop;
+    # on either side the diagnosing loop alone must give the same outcome.
+    header = "candidates: " + " ".join(f"c{i:03d}" for i in range(m))
+    rankings = _spelled_rankings(m)
+    canonical = rankings["canonical"]
+    for name, labels in rankings.items():
+        text = (
+            f"{header}\nballot 2: {' > '.join(canonical)}\n"
+            f"ballot 3: {' > '.join(labels)}\n"
+        )
+        expected = _outcome(parse_election_file, text)
+        with monkeypatch.context() as patch:
+            patch.setattr(ballots, "_accept", lambda *args: None)
+            assert _outcome(parse_election_file, text) == expected, name
+        # At m = 1 both repeats spell the canonical ranking again.
+        faulty = name != "padded" and labels != canonical
+        assert isinstance(expected, WeightedProfile) != faulty, name
+        assert not faulty or expected[1] == 3, name
+
+
+@pytest.mark.parametrize("m", [255, 256])
+def test_canonical_profile_takes_the_accept_path_at_the_byte_limit(monkeypatch, m):
+    profile = random_profile(random.Random(m), m, ballots=(40, 40))
+    text = serialize_election(profile)
+
+    def refuse(*args):
+        raise AssertionError("diagnosing chain ran on canonical text")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ballots, "_lookup", refuse)
+        patch.setattr(ballots, "_parse_ranking", refuse)
+        assert parse_election_file(text) == profile
+
+
+def test_parsed_ranks_are_tuples_of_ints():
+    # bytes would compare unequal to the rebuilt tuple, and so would fail here.
+    profile = random_profile(random.Random(3), 255, ballots=(30, 30))
+    parsed = parse_election_file(serialize_election(profile))
+    for ballot in parsed.ballots:
+        assert type(ballot.ranking.ranks) is tuple
+        assert {type(rank) for rank in ballot.ranking.ranks} == {int}
+    assert_proven(parsed)
+    assert parsed == profile

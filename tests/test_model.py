@@ -139,6 +139,19 @@ def test_ranking_rejects_non_int_ranks():
             Ranking.from_order(order)
 
 
+@pytest.mark.parametrize("ranks", [(True, 2), (2, True), (3, True, 2)])
+def test_ranking_rejects_bool_ranks(ranks):
+    # True sorts equal to 1 and sums as an int, but its repr would print True.
+    with pytest.raises(ValueError, match="ints"):
+        Ranking(ranks)
+
+
+@pytest.mark.parametrize("order", [(True, False), (False, True), (2, True, 0)])
+def test_from_order_rejects_bool_indices(order):
+    with pytest.raises(ValueError, match="ints"):
+        Ranking.from_order(order)
+
+
 def test_candidate_set_validation():
     with pytest.raises(ValueError):
         CandidateSet(())

@@ -1270,3 +1270,42 @@ def test_decision_never_falls_as_the_coalition_grows():
                 flips_to_yes += decision and not previous
                 previous = decision
     assert flips_to_yes > 0
+
+
+def test_raising_the_target_in_one_ballot_keeps_a_yes():
+    # Raising t one place in an honest ballot swaps it with the candidate y
+    # just above: w(t, y) rises, w(y, t) falls and no other edge moves, so no
+    # path out of t weakens and no path into t strengthens. A YES stays a YES
+    # with the old ballot still winning, and so a NO after the raise means a
+    # NO before it.
+    rng = random.Random(27)
+    kept = implied = 0
+    for _ in range(2000):
+        m = rng.randint(3, 12)
+        profile = random_profile(rng, m, ballots=(1, 8))
+        weights = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        target = rng.randrange(m)
+        raisable = [
+            i for i, b in enumerate(profile.ballots) if b.ranking.ranks[target] < m
+        ]
+        if not raisable:
+            continue
+        i = rng.choice(raisable)
+        ranks = list(profile.ballots[i].ranking.ranks)
+        above = ranks.index(ranks[target] + 1)
+        ranks[target], ranks[above] = ranks[above], ranks[target]
+        raised = list(profile.ballots)
+        raised[i] = WeightedBallot(Ranking(tuple(ranks)), raised[i].weight)
+        for mode in Mode:
+            before = ManipulationInstance(profile, weights, target, mode)
+            after = dataclasses.replace(
+                before, profile=WeightedProfile(profile.candidates, tuple(raised))
+            )
+            was, now = solve_wcm(before), solve_wcm(after)
+            assert was.decision <= now.decision, (before, after)
+            if was.decision:
+                assert verify_manipulation(after, was.vote)
+            kept += was.decision
+            implied += not now.decision
+    # About 2650 YES answers kept and 1050 NO answers implied.
+    assert kept > 2000 and implied > 800
