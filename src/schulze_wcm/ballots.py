@@ -26,10 +26,7 @@ the diagnosing code needs only for other spellings:
   stripped at the right, is the ranking text the chain would read. Any
   other line, a weight past the cap included, takes the chain.
 * a ranking written with the ' > ' separator, from either kind of line, is
-  accepted in bulk. Up to 255 candidates its labels map to a byte string of
-  indices, and one bytes.maketrans scatter turns that into the ranks and
-  proves it a permutation (_accept gives the argument); from 256 on, where a
-  byte cannot hold an index, one Python loop over the labels writes them.
+  accepted in bulk with one label-map pass that returns the ranks tuple.
   Text that misses, repeats or pads a candidate goes to the diagnosing loop,
   which reports the first fault in order.
 
@@ -84,47 +81,24 @@ def _parse_weight(token: str, what: str, line: int) -> int:
 
 
 def _accept(
-    text: str, index: dict[str, int], descending: bytes | range
+    text: str, index: dict[str, int], descending: range
 ) -> tuple[int, ...] | None:
     """The ranks canonical text spells, or None for the diagnosing loop.
 
-    descending holds m, m - 1, ..., 1: as bytes when m <= 255, else as a
-    range. A label in the map holds no whitespace and no '>', so accepted
-    text is exactly " > ".join(labels) over m labels of the map, which the
-    loop accepts with the same ranks as long as no label repeats.
-
-    Up to 255 candidates every index and rank fits a byte, so the labels
-    become the byte string order of their indices and
-    bytes.maketrans(order, descending) scatters rank descending[j] to byte
-    order[j] of its table, a later position overwriting an earlier one.
-    If a byte of order occurs at j and again later, its table entry holds
-    the rank of its last position l > j, so order.translate(table) differs
-    from descending at j, as descending strictly decreases. Equal strings
-    thus prove the m bytes of order distinct, all below m, so a permutation
-    of 0..m-1, and the table's first m bytes the ranks of candidates
-    0..m-1. From 256 candidates on, a Python loop writes each rank and a
-    repeat leaves a 0. The branch reads only m.
+    A label in the map holds no whitespace and no '>', so accepted text is
+    exactly " > ".join(labels), which the loop accepts with the same ranks;
+    a repeat leaves a 0. descending is range(m, 0, -1).
     """
     labels = text.split(" > ")
-    m = len(descending)
-    if len(labels) != m:
+    if len(labels) != len(descending):
         return None
-    if m > 255:
-        ranks = [0] * m
-        try:
-            for rank, label in zip(descending, labels):
-                ranks[index[label]] = rank
-        except KeyError:
-            return None
-        return tuple(ranks) if all(ranks) else None
+    ranks = [0] * len(labels)
     try:
-        order = bytes(map(index.__getitem__, labels))
+        for rank, label in zip(descending, labels):
+            ranks[index[label]] = rank
     except KeyError:
         return None
-    table = bytes.maketrans(order, descending)
-    if order.translate(table) != descending:
-        return None
-    return tuple(table[:m])
+    return tuple(ranks) if all(ranks) else None
 
 
 def _parse_ranking(
@@ -160,7 +134,7 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
     """Parse election text; all diagnostics carry 1-based line numbers."""
     candidates: CandidateSet | None = None
     index: dict[str, int] = {}
-    descending: bytes | range = b""
+    descending = range(0)
     ballots: list[WeightedBallot] = []
     total = 0
     manipulators: tuple[int, ...] | None = None
@@ -193,8 +167,7 @@ def parse_election_file(text: str) -> ManipulationInstance | WeightedProfile:
                         raise ParseError(f"duplicate label {label!r}", number)
                     index[label] = position
                 candidates = CandidateSet(tuple(labels))
-                m = len(labels)
-                descending = bytes(range(m, 0, -1)) if m <= 255 else range(m, 0, -1)
+                descending = range(len(labels), 0, -1)
                 continue
             if line.startswith("manipulators:"):
                 if manipulators is not None:

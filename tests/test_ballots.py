@@ -377,11 +377,9 @@ def _spelled_rankings(m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 254, 255, 256, 300])
-def test_accept_matches_the_diagnosing_loop_either_side_of_the_byte_limit(
-    monkeypatch, m
-):
-    # Up to 255 candidates a ranking is decoded as bytes, past that in a loop;
-    # on either side the diagnosing loop alone must give the same outcome.
+def test_accept_matches_the_diagnosing_loop(monkeypatch, m):
+    # With the bulk accept stubbed out, the diagnosing loop alone must give
+    # the same outcome.
     header = "candidates: " + " ".join(f"c{i:03d}" for i in range(m))
     rankings = _spelled_rankings(m)
     canonical = rankings["canonical"]
@@ -401,7 +399,7 @@ def test_accept_matches_the_diagnosing_loop_either_side_of_the_byte_limit(
 
 
 @pytest.mark.parametrize("m", [255, 256])
-def test_canonical_profile_takes_the_accept_path_at_the_byte_limit(monkeypatch, m):
+def test_canonical_profile_takes_the_accept_path_at_large_m(monkeypatch, m):
     profile = random_profile(random.Random(m), m, ballots=(40, 40))
     text = serialize_election(profile)
 
@@ -415,7 +413,6 @@ def test_canonical_profile_takes_the_accept_path_at_the_byte_limit(monkeypatch, 
 
 
 def test_parsed_ranks_are_tuples_of_ints():
-    # bytes would compare unequal to the rebuilt tuple, and so would fail here.
     profile = random_profile(random.Random(3), 255, ballots=(30, 30))
     parsed = parse_election_file(serialize_election(profile))
     for ballot in parsed.ballots:
