@@ -11,12 +11,15 @@ solve (tree, ballot, tree certificate) and checks the final election in full
 whatever the certificate says; it prints the share of YES answers the
 certificate settled. The solve takes its tree from a walk over the bounds
 that never builds the admissible graph; on every YES decision the walk's
-parents and children must equal those of `spanning_arborescence` run on
-`build_admissible_graph`'s output. As the solver's own ballots always win,
+parents must equal those of `spanning_arborescence` run on the output of
+`build_admissible_graph`. As the solver's own ballots always win,
 each YES case also probes the certificate where it may have to say no: the
-same ballot and tree at coalition weights W - 1 and W // 2, and a random
-ballot with a random tree rooted at the target at W. Every probe the
-certificate accepts is checked in full.
+same ballot and tree at coalition weights W - 1 and W // 2, and two probes
+at W. One is a random tree rooted at the target with the ballot that ranks
+its nodes in the order they joined it, every parent above its child. The
+other is the solver's tree with its ballot reversed, which ranks the target
+last, so the certificate must refuse it. Every probe the certificate
+accepts is checked in full.
 
 The all-pairs strength kernel is audited on each of those graphs and on one
 skew graph of magnitude 1000 per size, drawn from its own stream: for up to
@@ -52,14 +55,11 @@ from schulze_wcm.engine import (  # noqa: E402
 )
 from schulze_wcm.model import (  # noqa: E402
     Mode,
+    Ranking,
     build_majority_graph,
     overlay_identical_manipulators,
 )
-from schulze_wcm.sampling import (  # noqa: E402
-    random_profile,
-    random_ranking,
-    random_skew_graph,
-)
+from schulze_wcm.sampling import random_profile, random_skew_graph  # noqa: E402
 from schulze_wcm.solver import (  # noqa: E402
     INF,
     _admissible_tree,
@@ -122,22 +122,28 @@ def graphs(rng: random.Random, m: int):
         yield f"skew-{magnitude}", random_skew_graph(rng, m, magnitude=magnitude)
 
 
-def random_tree(rng: random.Random, m: int, target: int) -> tuple[int | None, ...]:
-    """Parents of a random tree rooted at the target: each joins an earlier node."""
+def random_tree(
+    rng: random.Random, m: int, target: int
+) -> tuple[list[int], tuple[int | None, ...]]:
+    """(join order, parents) of a random tree rooted at the target.
+
+    The target joins first, and each later node joins an earlier one.
+    """
     order = [target] + rng.sample([x for x in range(m) if x != target], m - 1)
     parents: list[int | None] = [None] * m
     for position in range(1, m):
         parents[order[position]] = order[rng.randrange(position)]
-    return tuple(parents)
+    return order, tuple(parents)
 
 
 def probe_certificate(rng, graph, target, vote, parents, coalition_weight, mode):
     """(probes certified, certified probes that fail the full check)."""
-    m = len(graph.candidates)
+    order, tree = random_tree(rng, len(graph.candidates), target)
     probes = [
         (vote, parents, coalition_weight - 1),
         (vote, parents, coalition_weight // 2),
-        (random_ranking(rng, m), random_tree(rng, m, target), coalition_weight),
+        (Ranking.from_order(order), tree, coalition_weight),
+        (Ranking.from_order(vote.order()[::-1]), parents, coalition_weight),
     ]
     certified = unsound = 0
     for probe_vote, probe_parents, weight in probes:
@@ -167,17 +173,12 @@ def audit(graph, target: int, coalition_weight: int, mode: Mode, rng: random.Ran
     if not decide_manipulable(graph, bounds, coalition_weight):
         return same, None
     parents = spanning_arborescence(admissible, target)
-    children = [[] for _ in parents]
-    for child, parent in enumerate(parents):
-        if parent is not None:
-            children[parent].append(child)
     # The rest of the audit folds the reference tree, so a walk that goes
     # wrong is reported as a difference rather than breaking the ballot.
-    walk_parents, walk_children = _admissible_tree(graph, bounds, coalition_weight)
-    tree_same = walk_parents == parents and list(map(list, walk_children)) == children
+    tree_same = _admissible_tree(graph, bounds, coalition_weight) == parents
     vote = construct_manipulator_vote(parents, bounds)
     certified = _tree_certifies_goal(
-        graph, target, vote, parents, coalition_weight, mode, children
+        graph, target, vote, parents, coalition_weight, mode
     )
     final = overlay_identical_manipulators(graph, vote, coalition_weight)
     probes = probe_certificate(
@@ -279,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"{yes} YES trees against the reference tree: {tree_differences} differences")
     print(
-        f"{3 * yes} certificate probes: {probes_certified} certified,"
+        f"{4 * yes} certificate probes: {probes_certified} certified,"
         f" {unsound} of them fail the full check"
     )
     kernel_differences = sum(differences for _, differences in kernel_audits)

@@ -89,8 +89,8 @@ def _proven(cls, *values):
 
 
 def _check_index(index: int, m: int, what: str) -> None:
-    """Reject an index that is not an int in 0..m-1."""
-    if not isinstance(index, int):
+    """Reject an index that is not an int in 0..m-1, or is a bool."""
+    if not isinstance(index, int) or isinstance(index, bool):
         raise ValueError(f"{what} index must be an int, got {index!r}")
     if not 0 <= index < m:
         raise ValueError(f"{what} index {index} out of range")

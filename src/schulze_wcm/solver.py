@@ -12,11 +12,11 @@ The solve finds that tree by a breadth-first walk from the target that tests
 the admissible edge rule on the bounds as it goes, so the admissible graph
 itself is never built there; `build_admissible_graph` and
 `spanning_arborescence` compute the same tree in two steps and serve as its
-reference. The tree first serves as an O(m) certificate: its paths bound the
+reference. The tree first serves as an O(m) certificate: on a ballot that
+ranks every parent above its child, the lightest tree edge bounds the
 target's strength toward each rival from below, and the heaviest final entry
 into the target bounds every rival's strength back. When those bounds cannot
-settle it, the final election is built and its winner status re-checked in
-full.
+settle it, the final election is built and its winner status re-checked.
 
 Each rule's own inequality excludes most candidate pairs before any edge is
 read: a rival whose row maximum fails the transfer rule's edge test against
@@ -289,20 +289,20 @@ def spanning_arborescence(
 
 def _admissible_tree(
     graph: MajorityGraph, bounds: BoundFunction, coalition_weight: int
-) -> tuple[tuple[int | None, ...], list]:
+) -> tuple[int | None, ...]:
     """The breadth-first spanning tree of the admissible graph, walked from the bounds.
 
-    Returns (parents, children): the tree that spanning_arborescence finds
-    in build_admissible_graph's output, and each candidate's children in
-    ascending index order. The walk pops candidates in breadth-first order
-    from the target; a popped x takes as its children the candidates not yet
-    reached, in ascending index order, that the admissible edge rule lets x
-    enter: bound(y) <= bound(x) and weight(x, y) >= bound(y) - coalition.
-    The breadth-first search over the built graph scans x's out-neighbours in
-    the same order and skips exactly the reached ones, so both find the same
-    parents. Only edges toward unreached candidates are read, and a pop
-    reads none once every candidate is reached. A candidate left unreached
-    raises InternalInvariantError, as in spanning_arborescence.
+    Returns the parents that spanning_arborescence finds in
+    build_admissible_graph's output. The walk pops candidates in
+    breadth-first order from the target; a popped x becomes the parent of
+    the candidates not yet reached, in ascending index order, that the
+    admissible edge rule lets x enter: bound(y) <= bound(x) and weight(x, y)
+    >= bound(y) - coalition. The breadth-first search over the built graph
+    scans x's out-neighbours in the same order and skips exactly the reached
+    ones, so both find the same parents. Only edges toward unreached
+    candidates are read, and a pop reads none once every candidate is
+    reached. A candidate left unreached raises InternalInvariantError, as in
+    spanning_arborescence.
     """
     weights = graph.weights
     values = bounds.values
@@ -310,7 +310,6 @@ def _admissible_tree(
     m = len(values)
     needs = [value - coalition_weight for value in values]
     parents: list[int | None] = [None] * m
-    children: list = [()] * m
     unseen = [y for y in range(m) if y != target]
     order = [target]
     # The loop visits the candidates order gains while it runs.
@@ -321,7 +320,6 @@ def _admissible_tree(
         level = values[x]
         hits = [y for y in unseen if row[y] >= needs[y] and values[y] <= level]
         if hits:
-            children[x] = hits
             for y in hits:
                 parents[y] = x
             order += hits
@@ -330,7 +328,7 @@ def _admissible_tree(
         raise InternalInvariantError(
             f"candidates {unseen} unreachable in the admissible graph"
         )
-    return tuple(parents), children
+    return tuple(parents)
 
 
 def construct_manipulator_vote(
@@ -386,58 +384,38 @@ def _tree_certifies_goal(
     parents: tuple[int | None, ...],
     coalition_weight: int,
     mode: Mode,
-    children: list | None = None,
 ) -> bool:
     """Whether the tree alone proves that the coalition's ballot reaches the goal.
 
     Entry (x, y) of the final election is weight(x, y) + W when the vote
     ranks x above y and weight(x, y) - W otherwise; the final matrix is
-    never built. Every path into the target ends on some entry (z, target),
-    so no rival reaches the target with more strength than the heaviest of
-    them. The tree path from the target to a rival y shows that the target
-    reaches y with at least the lightest entry on that path, its floor; as
-    every tree edge lies on its child's path, the lightest tree edge is the
-    least floor over all rivals. The goal holds when every floor beats the
-    heaviest entry into the target, strictly in UNIQUE mode. O(m).
+    never built. The tree must give a parent to every candidate but the
+    target, and the vote must rank each parent above its child. Following
+    parents then climbs the vote to the target, so the tree spans the
+    candidates and the target tops the vote: every final entry into the
+    target is weight(z, target) - W, and no rival reaches the target with
+    more strength than the heaviest of them. Every tree edge is weight(x, y)
+    + W, so the target reaches each rival with at least the lightest one.
+    The goal holds when that edge beats the heaviest entry into the target,
+    strictly in UNIQUE mode. O(m).
 
     True proves the goal; False only means the tree cannot tell. It needs
-    at least one rival, and parents must give the target no parent, as
-    construct_manipulator_vote requires; a candidate the walk from the
-    target does not reach has no tree path, and fails the certificate.
-    children, when given, must list each candidate's children in parents,
-    as _admissible_tree returns them; otherwise they are read off parents.
+    at least one rival, and parents must hold valid candidate indices.
     """
     weights = graph.weights
     ranks = vote.ranks
-    top = ranks[target]
-    down = -coalition_weight
-    entry = max(
-        row[target] + (coalition_weight if rank > top else down)
-        for z, (row, rank) in enumerate(zip(weights, ranks))
-        if z != target
-    )
-    strict = mode is Mode.UNIQUE
-    if children is None:
-        children = [[] for _ in ranks]
-        for child, parent in enumerate(parents):
-            if parent is not None:
-                children[parent].append(child)
-    # With no parent for the target and one for everyone else, the walk
-    # meets each candidate it reaches exactly once.
-    reached = 1
-    stack = [target]
-    while stack:
-        x = stack.pop()
-        row = weights[x]
-        rank = ranks[x]
-        below = children[x]
-        for y in below:
-            value = row[y] + (coalition_weight if rank > ranks[y] else down)
-            if value < entry or (strict and value == entry):
+    lightest = INF
+    for child, parent in enumerate(parents):
+        if parent is None:
+            if child != target:
                 return False
-        reached += len(below)
-        stack.extend(below)
-    return reached == len(ranks)
+        elif ranks[parent] > ranks[child]:
+            lightest = min(lightest, weights[parent][child])
+        else:
+            return False
+    entry = max(row[target] for z, row in enumerate(weights) if z != target)
+    margin = lightest + 2 * coalition_weight - entry
+    return margin > 0 or (margin == 0 and mode is not Mode.UNIQUE)
 
 
 def _reaches_goal(graph: MajorityGraph, target: int, mode: Mode) -> bool:
@@ -466,15 +444,12 @@ def solve_wcm(instance: ManipulationInstance) -> ManipulationOutcome:
     manipulators. No manipulators: whether the target already holds the
     required status, with no ballot. Otherwise the bound function decides,
     and on yes the constructed ballot is verified against the stated goal
-    before being returned; all manipulators cast that same ballot. The
-    ballot folds the spanning tree that a breadth-first walk from the target
-    finds over the bounds; the walk tests the admissible edge rule pair by
-    pair and never builds the admissible graph, which build_admissible_graph
-    and spanning_arborescence compute only as its reference. The
-    spanning tree's O(m) certificate verifies it first; only when the
-    certificate cannot settle the goal is the final election built and its
-    winner status checked in full, and a ballot failing that check raises
-    InternalInvariantError.
+    before being returned; all manipulators cast that same ballot. It folds
+    the spanning tree that _admissible_tree walks from the target over the
+    bounds, never building the admissible graph. The tree's O(m) certificate
+    verifies the ballot first; only when it cannot settle the goal is the
+    final election built and its winner status checked in full, and a
+    ballot failing that check raises InternalInvariantError.
     """
     profile = instance.profile
     target = instance.target
@@ -502,10 +477,10 @@ def solve_wcm(instance: ManipulationInstance) -> ManipulationOutcome:
     decision = decide_manipulable(graph, bounds, coalition_weight)
     vote: Ranking | None = None
     if decision:
-        parents, children = _admissible_tree(graph, bounds, coalition_weight)
+        parents = _admissible_tree(graph, bounds, coalition_weight)
         vote = construct_manipulator_vote(parents, bounds)
         if not _tree_certifies_goal(
-            graph, target, vote, parents, coalition_weight, mode, children
+            graph, target, vote, parents, coalition_weight, mode
         ):
             final = overlay_identical_manipulators(graph, vote, coalition_weight)
             if not _reaches_goal(final, target, mode):

@@ -48,10 +48,11 @@ def test_cowinner_transfer_test_stays_strict_on_a_tie_heavy_instance():
 
 def test_winning_ballots_keep_rival_strengths_within_the_bounds():
     # U(x) is a ceiling on the strength s'(x, t) of every rival x toward the
-    # target in any final election the coalition wins with one common ballot.
-    # The oracle's own tally and strengths enumerate those ballots.
+    # target in any final election the coalition wins, with one common ballot
+    # or, for two manipulators at m <= 4, with a ballot each. The oracle's
+    # own tally and strengths enumerate those assignments.
     rng = random.Random(2018)
-    winning = tight = 0
+    winning = tight = split = 0
     for _ in range(200):
         m = rng.randint(2, 5)
         profile = random_profile(rng, m, ballots=(0, 5))
@@ -71,18 +72,29 @@ def test_winning_ballots_keep_rival_strengths_within_the_bounds():
         base = [[0] * m for _ in range(m)]
         for b in profile.ballots:
             oracle._cast(base, oracle._preference_pairs(b.ranking.ranks), b.weight)
+        rankings = list(itertools.permutations(range(1, m + 1)))
+        assignments = [[(ranks, sum(weights))] for ranks in rankings]
+        if len(weights) == 2 and m <= 4:
+            # Equal pairs are the common ballots above.
+            assignments += [
+                list(zip(pair, weights))
+                for pair in itertools.product(rankings, repeat=2)
+                if pair[0] != pair[1]
+            ]
         for mode in Mode:
             instance = ManipulationInstance(profile, weights, target, mode)
             bounds = solve_wcm(instance).bounds.values
-            for ranks in itertools.permutations(range(1, m + 1)):
+            for assignment in assignments:
                 trial = [row[:] for row in base]
-                oracle._cast(trial, oracle._preference_pairs(ranks), sum(weights))
+                for ranks, weight in assignment:
+                    oracle._cast(trial, oracle._preference_pairs(ranks), weight)
                 if not oracle._target_wins(trial, target, mode is Mode.UNIQUE):
                     continue
                 winning += 1
+                split += len(assignment) == 2
                 strengths = oracle._strengths(trial)
                 for x in range(m):
                     if x != target:
-                        assert strengths[x][target] <= bounds[x], (instance, ranks)
+                        assert strengths[x][target] <= bounds[x], (instance, assignment)
                         tight += strengths[x][target] == bounds[x]
-    assert winning > 1000 and tight > 0
+    assert winning - split > 1000 and split > 1000 and tight > 0

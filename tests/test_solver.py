@@ -98,6 +98,28 @@ def test_bound_function_rejects_bool_bounds(flag):
         BoundFunction((3, flag, INF), 2, Mode.COWINNER)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ManipulationInstance(WeightedProfile(CXY, ()), (2,), True),
+        lambda: BoundFunction((1, INF), True, Mode.UNIQUE),
+        lambda: widest_from(((0, 1), (-1, 0)), True),
+        lambda: compute_bound_function(
+            MajorityGraph(AC, ((0, 1), (-1, 0))), True, 1, Mode.UNIQUE
+        ),
+        lambda: spanning_arborescence(((1,), ()), True),
+        lambda: construct_manipulator_vote(
+            (None, 0, True), BoundFunction((INF, 1, 1), 0, Mode.UNIQUE)
+        ),
+    ],
+    ids=["instance-target", "bounds-target", "source", "target", "root", "parent"],
+)
+def test_bool_indices_are_rejected(build):
+    # bool is an int subclass, so True would stand for candidate 1.
+    with pytest.raises(ValueError, match="index must be an int"):
+        build()
+
+
 # ---------------------------------------------------------- bound computation
 
 
@@ -429,32 +451,12 @@ def test_arborescence_rejects_edges_to_no_candidate(out_edges):
 # ------------------------------------------------------------------ tree walk
 
 
-def reference_tree(graph, bounds, coalition_weight):
-    """(parents, children) of the tree built over the whole admissible graph."""
-    parents = spanning_arborescence(
-        build_admissible_graph(graph, bounds, coalition_weight), bounds.target
-    )
-    children = [[] for _ in parents]
-    for child, parent in enumerate(parents):
-        if parent is not None:
-            children[parent].append(child)
-    return parents, children
-
-
 def assert_walk_matches_reference(graph, target, coalition_weight, mode):
     bounds, _ = compute_bound_function(graph, target, coalition_weight, mode)
-    parents, children = solver._admissible_tree(graph, bounds, coalition_weight)
-    want_parents, want_children = reference_tree(graph, bounds, coalition_weight)
-    assert parents == want_parents
-    assert list(map(list, children)) == want_children
-    if len(parents) > 1 and decide_manipulable(graph, bounds, coalition_weight):
-        vote = construct_manipulator_vote(parents, bounds)
-        # The walk's children stand in for the ones read off parents.
-        assert solver._tree_certifies_goal(
-            graph, target, vote, parents, coalition_weight, mode, children
-        ) == solver._tree_certifies_goal(
-            graph, target, vote, parents, coalition_weight, mode
-        )
+    admissible = build_admissible_graph(graph, bounds, coalition_weight)
+    assert solver._admissible_tree(
+        graph, bounds, coalition_weight
+    ) == spanning_arborescence(admissible, target)
     return bounds
 
 
