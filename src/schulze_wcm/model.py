@@ -286,7 +286,8 @@ class MajorityGraph:
     """Skew-symmetric integer pairwise weights on the complete digraph.
 
     Any skew-symmetric matrix is accepted, whether or not some profile
-    realizes it; the diagonal must be zero.
+    realizes it; the diagonal must be zero. A weight that is not an int
+    raises ValueError, and one past the signed 64-bit cap CapacityError.
     """
 
     candidates: CandidateSet
@@ -302,14 +303,27 @@ class MajorityGraph:
         m = len(self.candidates)
         if len(rows) != m or any(len(row) != m for row in rows):
             raise ValueError(f"weight matrix must be {m}x{m}")
+        # Packing a row into signed 64-bit fields refuses every entry that is
+        # not an int or lies past the cap; only a refused row is read again.
+        pack = struct.Struct(f"<{m}q").pack
+        try:
+            for row in rows:
+                pack(*row)
+        except struct.error:
+            for value in row:
+                if not isinstance(value, int):
+                    raise ValueError(
+                        f"pairwise weights must be ints, got {value!r}"
+                    ) from None
+            raise CapacityError(
+                "pairwise weight exceeds the signed 64-bit cap"
+            ) from None
         for x in range(m):
             if rows[x][x] != 0:
                 raise ValueError("diagonal weights must be zero")
             for y in range(x + 1, m):
                 if rows[x][y] != -rows[y][x]:
                     raise ValueError("weight matrix must be skew-symmetric")
-                if abs(rows[x][y]) > INT64_MAX:
-                    raise CapacityError("pairwise weight exceeds the signed 64-bit cap")
 
 
 def _field_code(total: int) -> str:

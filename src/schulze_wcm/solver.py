@@ -18,14 +18,6 @@ target's strength toward each rival from below, and the heaviest final entry
 into the target bounds every rival's strength back. When those bounds cannot
 settle it, the final election is built and its winner status re-checked.
 
-Each rule's own inequality excludes most candidate pairs before any edge is
-read: a rival whose row maximum fails the transfer rule's edge test against
-its own bound can transfer to no one, and an admissible edge never enters a
-head with a larger bound than its tail. The transfer scan visits only the
-pairs the first test leaves, and fires at exactly the pairs a scan over all
-of them would; the tree walk reads an edge only toward a candidate it has not
-reached yet.
-
 Everything runs in polynomial time in the number of candidates; weights only
 enter through exact integer comparisons.
 """
@@ -223,28 +215,18 @@ def build_admissible_graph(
 
     Edge (x, y) exists when min(bound(x), weight(x, y) + coalition) is at
     least bound(y). Entry x lists x's out-neighbours in ascending index order.
-    Only heads whose bound is at most bound(x) can qualify, so each row tests
-    just those, found by one bisection into the candidates sorted by bound.
     """
     m = _check_sizes(graph, bounds)
     _check_weight(coalition_weight, "coalition weight", 0)
     values = bounds.values
-    # min(bound(x), weight(x, y) + coalition) >= bound(y) splits into
-    # bound(y) <= bound(x), a prefix of heads, and weight(x, y) >= needs.
-    heads = sorted(range(m), key=values.__getitem__)
-    levels = [values[y] for y in heads]
-    needs = [level - coalition_weight for level in levels]
-    out: list[tuple[int, ...]] = []
-    for x, row in enumerate(graph.weights):
-        count = bisect.bisect_right(levels, values[x])
-        hits = [
+    return tuple(
+        tuple(
             y
-            for y, need in zip(heads[:count], needs[:count])
-            if row[y] >= need and y != x
-        ]
-        hits.sort()
-        out.append(tuple(hits))
-    return tuple(out)
+            for y in range(m)
+            if y != x and min(values[x], row[y] + coalition_weight) >= values[y]
+        )
+        for x, row in enumerate(graph.weights)
+    )
 
 
 def spanning_arborescence(
@@ -255,9 +237,9 @@ def spanning_arborescence(
     Entry x is x's parent in the tree, and the root's entry is None.
     Neighbors are scanned in ascending index order and the first discovery
     fixes the parent, so the result is deterministic. A neighbour that is not
-    an int in 0..m-1 raises ValueError. Every candidate is reachable from the
-    root at a rule fixed point; an unreachable candidate therefore signals a
-    bug.
+    an int in 0..m-1, or is a bool, raises ValueError. Every candidate is
+    reachable from the root at a rule fixed point; an unreachable candidate
+    therefore signals a bug.
     """
     m = len(out_edges)
     _check_index(root, m, "root")
@@ -270,8 +252,9 @@ def spanning_arborescence(
             x = queue.popleft()
             for y in out_edges[x]:
                 # Indexing seen rejects a non-int or too large y; a negative
-                # one would wrap to another candidate.
-                if y < 0:
+                # one would wrap to another candidate, and a bool would pass
+                # for candidate 0 or 1.
+                if y < 0 or isinstance(y, bool):
                     raise IndexError
                 if not seen[y]:
                     seen[y] = True

@@ -317,8 +317,15 @@ def test_majority_graph_validation():
         MajorityGraph(CandidateSet(("a", "b")), ((1, 0), (0, 0)))
     with pytest.raises(ValueError):
         MajorityGraph(CandidateSet(("a", "b")), ((0, 1), (1, 0)))
-    with pytest.raises(CapacityError):
-        MajorityGraph(CandidateSet(("a", "b")), ((0, 2**63), (-(2**63), 0)))
+    for big in (2**63, -(2**63)):
+        with pytest.raises(CapacityError, match="exceeds the signed 64-bit cap"):
+            MajorityGraph(AB, ((0, big), (-big, 0)))
+    # A weight that is not an int is refused even when its value is whole.
+    for weight in (0.5, 1.0, Fraction(1, 2), Fraction(1), Decimal("0.5")):
+        with pytest.raises(ValueError, match="pairwise weights must be ints"):
+            MajorityGraph(AB, ((0, weight), (-weight, 0)))
+    with pytest.raises(ValueError, match="pairwise weights must be ints"):
+        MajorityGraph(AB, ((0, "1"), ("-1", 0)))
 
 
 def test_build_majority_graph_single_ballot():

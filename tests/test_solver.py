@@ -340,30 +340,13 @@ def full_scan_bounds(graph, target, coalition_weight, mode):
             return tuple(bounds), applications
 
 
-def full_admissible(graph, bounds, coalition_weight):
-    """The admissible graph tested over every ordered pair."""
-    values = bounds.values
-    m = len(values)
-    return tuple(
-        tuple(
-            y
-            for y in range(m)
-            if y != x
-            and min(values[x], graph.weights[x][y] + coalition_weight) >= values[y]
-        )
-        for x in range(m)
-    )
-
-
 def assert_scans_match_every_pair(graph, target, coalition_weight, mode):
     bounds, applications = compute_bound_function(
         graph, target, coalition_weight, mode
     )
     expected = full_scan_bounds(graph, target, coalition_weight, mode)
     assert (bounds.values, applications) == expected
-    assert build_admissible_graph(graph, bounds, coalition_weight) == (
-        full_admissible(graph, bounds, coalition_weight)
-    )
+    assert_tree_matches_reference(graph, bounds, coalition_weight)
 
 
 def test_scans_match_every_pair_on_skew_graphs():
@@ -440,8 +423,10 @@ def test_arborescence_rejects_root_out_of_range(root):
 
 @pytest.mark.parametrize(
     "out_edges",
-    [((-1,), ()), ((2,), ()), ((1.0,), ()), (("1",), ()), ((1, 2), (-1,), ())],
-    ids=["negative", "past-the-end", "float", "str", "negative-behind-a-seen-one"],
+    [((-1,), ()), ((2,), ()), ((1.0,), ()), (("1",), ()), ((1, 2), (-1,), ()),
+     ((True,), ())],
+    ids=["negative", "past-the-end", "float", "str", "negative-behind-a-seen-one",
+         "bool"],
 )
 def test_arborescence_rejects_edges_to_no_candidate(out_edges):
     with pytest.raises(ValueError, match="out-neighbours must be ints"):
@@ -451,12 +436,16 @@ def test_arborescence_rejects_edges_to_no_candidate(out_edges):
 # ------------------------------------------------------------------ tree walk
 
 
-def assert_walk_matches_reference(graph, target, coalition_weight, mode):
-    bounds, _ = compute_bound_function(graph, target, coalition_weight, mode)
+def assert_tree_matches_reference(graph, bounds, coalition_weight):
     admissible = build_admissible_graph(graph, bounds, coalition_weight)
     assert solver._admissible_tree(
         graph, bounds, coalition_weight
-    ) == spanning_arborescence(admissible, target)
+    ) == spanning_arborescence(admissible, bounds.target)
+
+
+def assert_walk_matches_reference(graph, target, coalition_weight, mode):
+    bounds, _ = compute_bound_function(graph, target, coalition_weight, mode)
+    assert_tree_matches_reference(graph, bounds, coalition_weight)
     return bounds
 
 
